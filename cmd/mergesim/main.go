@@ -51,7 +51,6 @@ func main() {
 		traceOut  = flag.String("trace", "", "write an execution trace of trial 1 to this file")
 		traceFmt  = flag.String("trace-format", "chrome", "trace format: chrome (Perfetto/chrome://tracing JSON) or csv")
 		traceMax  = flag.Int("trace-events", 0, "cap on recorded trace events (0 = default 1M; past it the trace truncates)")
-		engine    = flag.String("engine", "event", "engine implementation: event (state machine) or process (goroutine shim); results are byte-identical")
 
 		faultDisk     = flag.Int("fault-disk", -1, "disk index to inject faults into (-1 = none)")
 		faultSlowdown = flag.Float64("fault-slowdown", 0, "fail-slow service-time multiplier for the faulted disk (>= 1)")
@@ -61,16 +60,6 @@ func main() {
 		faultOutage   = flag.String("fault-outage", "", "outage windows for the faulted disk, \"start:end[,start:end]\" in ms")
 	)
 	flag.Parse()
-
-	switch *engine {
-	case "event":
-		core.SetEngineMode(core.EngineEvent)
-	case "process":
-		core.SetEngineMode(core.EngineProcess)
-	default:
-		fmt.Fprintf(os.Stderr, "mergesim: unknown -engine %q (want event or process)\n", *engine)
-		os.Exit(2)
-	}
 
 	cfg := core.Default()
 	cfg.K = *k

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -126,4 +127,19 @@ func TestTraceOutageSpan(t *testing.T) {
 		}
 	}
 	t.Fatal("no outage span recorded")
+}
+
+// TestTracerSeesMergeLifecycle checks the merge brackets its run with
+// one proc-start and one proc-end mark on the kernel tracer, including
+// when the merge parks on writes and finite CPU time.
+func TestTracerSeesMergeLifecycle(t *testing.T) {
+	cfg := tracedConfig()
+	tr := sim.NewCountingTracer()
+	cfg.Tracer = tr
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Counts["proc-start"] != 1 || tr.Counts["proc-end"] != 1 {
+		t.Fatalf("tracer counts = %v", tr.Counts)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/disk"
+	"repro/internal/layout"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -94,10 +95,11 @@ func (w WriteConfig) validate(c Config) error {
 	return nil
 }
 
-// writer manages the merge's output stream inside the engine.
+// writer holds the merge's output-stream state. The merge machine
+// drives it: produce buffers each merged block, flush submits a batch,
+// and finishUp drains the tail (see machine.go).
 type writer struct {
 	cfg   WriteConfig
-	e     *engine
 	disks []*disk.Disk // the output targets (input disks when shared)
 
 	// nextAddr[i] is the next sequential output address on target i;
@@ -107,8 +109,6 @@ type writer struct {
 
 	pending     int // produced, unwritten blocks (buffered)
 	outstanding int // blocks inside submitted write requests
-
-	bufferFree *sim.Signal
 
 	// Stats.
 	written    int64
@@ -122,9 +122,7 @@ func newWriter(e *engine) (*writer, error) {
 		return nil, nil
 	}
 	w := &writer{
-		cfg:        e.cfg.Write.withDefaults(e.cfg.N, e.cfg.Write.targets(e.cfg)),
-		e:          e,
-		bufferFree: e.k.NewSignal(),
+		cfg: e.cfg.Write.withDefaults(e.cfg.N, e.cfg.Write.targets(e.cfg)),
 	}
 	if w.cfg.Shared {
 		w.disks = e.disks
@@ -137,7 +135,7 @@ func newWriter(e *engine) (*writer, error) {
 					used += e.lay.RunLength(r)
 				}
 			}
-			if e.lay.Placement().String() == "striped" {
+			if e.lay.Placement() == layout.Striped {
 				used = e.lay.MaxBlocksOnDisk()
 			}
 			w.nextAddr[dk] = used
@@ -163,50 +161,4 @@ func newWriter(e *engine) (*writer, error) {
 		w.disks = append(w.disks, dk)
 	}
 	return w, nil
-}
-
-// produce is called by the CPU for every merged block. It stalls the
-// calling process when the write-behind buffer is full, then batches
-// the block for writing.
-func (w *writer) produce(p *sim.Proc) {
-	start := p.Now()
-	p.WaitFor(w.bufferFree, func() bool {
-		return w.pending+w.outstanding < w.cfg.BufferBlocks
-	})
-	w.writeStall += p.Now() - start
-	w.pending++
-	if w.pending >= w.cfg.BatchBlocks {
-		w.flush(w.pending)
-	}
-}
-
-// flush submits a write of n buffered blocks to the next target.
-// Buffer slots free as individual blocks land on the platter.
-func (w *writer) flush(n int) {
-	target := w.nextTarget
-	w.nextTarget = (w.nextTarget + 1) % len(w.disks)
-	addr := w.nextAddr[target]
-	w.nextAddr[target] += n
-	w.pending -= n
-	w.outstanding += n
-	w.disks[target].Submit(&disk.Request{
-		Start: addr,
-		Count: n,
-		Tag:   "write",
-		OnBlock: func(i int, at sim.Time) {
-			w.outstanding--
-			w.written++
-			w.bufferFree.Broadcast()
-		},
-	})
-}
-
-// drain flushes any ragged tail and waits until all writes land.
-func (w *writer) drain(p *sim.Proc) {
-	if w.pending > 0 {
-		w.flush(w.pending)
-	}
-	start := p.Now()
-	p.WaitFor(w.bufferFree, func() bool { return w.outstanding == 0 })
-	w.writeStall += p.Now() - start
 }

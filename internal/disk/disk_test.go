@@ -33,43 +33,81 @@ func newTestDisk(t *testing.T, k *sim.Kernel, p Params) *Disk {
 	return d
 }
 
+// landing records, through OnBlock, the instant each block of a
+// request lands.
+type landing struct {
+	req *Request
+	at  []sim.Time
+}
+
+// track builds a request for count blocks at start that records its
+// block landings; submit it with SubmitNoWait(l.req).
+func track(start, count int) *landing {
+	l := &landing{}
+	l.req = &Request{Start: start, Count: count, OnBlock: func(i int, at sim.Time) { l.at = append(l.at, at) }}
+	return l
+}
+
+// submit tracks a request for count blocks at start and submits it.
+func submit(d *Disk, start, count int) *landing {
+	l := track(start, count)
+	d.SubmitNoWait(l.req)
+	return l
+}
+
+// first returns when the request's first block landed, or -1 if none has.
+func (l *landing) first() sim.Time {
+	if len(l.at) == 0 {
+		return -1
+	}
+	return l.at[0]
+}
+
+// done returns when the request's last block landed, or -1 while any
+// block is outstanding.
+func (l *landing) done() sim.Time {
+	if len(l.at) < l.req.Count {
+		return -1
+	}
+	return l.at[len(l.at)-1]
+}
+
 func TestSingleBlockServiceTime(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, testParams())
 	// Head at cylinder 0; request block 35 -> cylinder 3.
-	req := d.Submit(&Request{Start: 35, Count: 1})
+	req := submit(d, 35, 1)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// seek 3 + rot 4 + transfer 2 = 9.
-	if req.Done.At() != 9 {
-		t.Fatalf("done at %v, want 9", req.Done.At())
+	if req.done() != 9 {
+		t.Fatalf("done at %v, want 9", req.done())
 	}
-	if !req.FirstDone.Done() || req.FirstDone.At() != 9 {
-		t.Fatalf("first done at %v", req.FirstDone.At())
+	if req.first() != 9 {
+		t.Fatalf("first block at %v", req.first())
 	}
 }
 
 func TestMultiBlockAmortization(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, testParams())
-	var blockTimes []sim.Time
-	req := d.Submit(&Request{
-		Start: 0, Count: 5,
-		OnBlock: func(i int, at sim.Time) { blockTimes = append(blockTimes, at) },
-	})
+	req := submit(d, 0, 5)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// No seek; rot 4; blocks at 6, 8, 10, 12, 14.
 	want := []sim.Time{6, 8, 10, 12, 14}
+	if len(req.at) != len(want) {
+		t.Fatalf("block times = %v, want %v", req.at, want)
+	}
 	for i := range want {
-		if blockTimes[i] != want[i] {
-			t.Fatalf("block times = %v, want %v", blockTimes, want)
+		if req.at[i] != want[i] {
+			t.Fatalf("block times = %v, want %v", req.at, want)
 		}
 	}
-	if req.FirstDone.At() != 6 || req.Done.At() != 14 {
-		t.Fatalf("first/done = %v/%v", req.FirstDone.At(), req.Done.At())
+	if req.first() != 6 || req.done() != 14 {
+		t.Fatalf("first/done = %v/%v", req.first(), req.done())
 	}
 	st := d.Stats()
 	if st.Requests != 1 || st.Blocks != 5 {
@@ -84,13 +122,13 @@ func TestFCFSQueueing(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, testParams())
 	// Two requests submitted together; second waits for first.
-	r1 := d.Submit(&Request{Start: 0, Count: 1}) // 0+4+2 = 6
-	r2 := d.Submit(&Request{Start: 0, Count: 1}) // starts at 6: +4+2 = 12
+	r1 := submit(d, 0, 1) // 0+4+2 = 6
+	r2 := submit(d, 0, 1) // starts at 6: +4+2 = 12
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if r1.Done.At() != 6 || r2.Done.At() != 12 {
-		t.Fatalf("done at %v and %v, want 6 and 12", r1.Done.At(), r2.Done.At())
+	if r1.done() != 6 || r2.done() != 12 {
+		t.Fatalf("done at %v and %v, want 6 and 12", r1.done(), r2.done())
 	}
 	st := d.Stats()
 	if st.QueueWait != 6 {
@@ -106,15 +144,15 @@ func TestHeadPositionPersists(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, testParams())
 	// First request moves head to cylinder 5 (blocks 50-59).
-	d.Submit(&Request{Start: 50, Count: 1})
-	r2 := &Request{Start: 20, Count: 1}
-	k.At(20, func() { d.Submit(r2) })
+	submit(d, 50, 1)
+	r2 := track(20, 1)
+	k.At(20, func() { d.SubmitNoWait(r2.req) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// r2: seek |5-2| = 3, rot 4, transfer 2 => 9, from t=20.
-	if r2.Done.At() != 29 {
-		t.Fatalf("r2 done at %v, want 29", r2.Done.At())
+	if r2.done() != 29 {
+		t.Fatalf("r2 done at %v, want 29", r2.done())
 	}
 	if d.CurrentCylinder() != 2 {
 		t.Fatalf("head at %d, want 2", d.CurrentCylinder())
@@ -127,7 +165,7 @@ func TestHeadPositionPersists(t *testing.T) {
 func TestHeadEndsAtLastBlockCylinder(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, testParams())
-	d.Submit(&Request{Start: 8, Count: 10}) // spans cylinders 0 and 1
+	submit(d, 8, 10) // spans cylinders 0 and 1
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +180,14 @@ func TestSSTFPicksNearest(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, p)
 	// Occupy the disk, then queue far and near requests.
-	d.Submit(&Request{Start: 0, Count: 1})
-	far := d.Submit(&Request{Start: 90, Count: 1})  // cylinder 9
-	near := d.Submit(&Request{Start: 10, Count: 1}) // cylinder 1
+	submit(d, 0, 1)
+	far := submit(d, 90, 1)  // cylinder 9
+	near := submit(d, 10, 1) // cylinder 1
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !(near.Done.At() < far.Done.At()) {
-		t.Fatalf("SSTF served far (%v) before near (%v)", far.Done.At(), near.Done.At())
+	if !(near.done() < far.done()) {
+		t.Fatalf("SSTF served far (%v) before near (%v)", far.done(), near.done())
 	}
 }
 
@@ -159,14 +197,12 @@ func TestUniformRotationalMean(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, p)
 	const n = 4000
-	prev := d.Submit(&Request{Start: 0, Count: 1})
-	for i := 1; i < n; i++ {
-		prev = d.Submit(&Request{Start: 0, Count: 1})
+	for i := 0; i < n; i++ {
+		submit(d, 0, 1)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	_ = prev
 	st := d.Stats()
 	meanRot := float64(st.RotTime) / float64(st.Requests)
 	if math.Abs(meanRot-4) > 0.15 {
@@ -183,7 +219,7 @@ func TestPositionalRotationBounded(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, p)
 	for i := 0; i < 50; i++ {
-		d.Submit(&Request{Start: (i * 7) % 100, Count: 1})
+		submit(d, (i*7)%100, 1)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -204,9 +240,9 @@ func TestBusyObserver(t *testing.T) {
 	}
 	var transitions []tr
 	d.SetBusyObserver(func(at sim.Time, b bool) { transitions = append(transitions, tr{at, b}) })
-	d.Submit(&Request{Start: 0, Count: 1})
-	r2 := &Request{Start: 0, Count: 1}
-	k.At(20, func() { d.Submit(r2) })
+	submit(d, 0, 1)
+	r2 := track(0, 1)
+	k.At(20, func() { d.SubmitNoWait(r2.req) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +268,10 @@ func TestSubmitValidation(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatalf("Submit(%+v) did not panic", req)
+					t.Fatalf("SubmitNoWait(%+v) did not panic", req)
 				}
 			}()
-			d.Submit(req)
+			d.SubmitNoWait(req)
 		}()
 	}
 }
@@ -288,7 +324,7 @@ func TestPaperParams(t *testing.T) {
 func TestMeanServiceAccessors(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, testParams())
-	d.Submit(&Request{Start: 0, Count: 4})
+	submit(d, 0, 4)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -321,17 +357,17 @@ func TestServiceTimePropertyFCFS(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var reqs []*Request
+		var reqs []*landing
 		for _, r := range raw {
 			start := int(r) % 990
 			count := int(r%5) + 1
-			reqs = append(reqs, d.Submit(&Request{Start: start, Count: count}))
+			reqs = append(reqs, submit(d, start, count))
 		}
 		if err := k.Run(); err != nil {
 			return false
 		}
 		for _, r := range reqs {
-			if !r.Done.Done() {
+			if r.done() < 0 {
 				return false
 			}
 		}
@@ -389,12 +425,12 @@ func TestAffineSqrtSeekInService(t *testing.T) {
 	p.SeekSqrtCoeff = 1
 	d := newTestDisk(t, k, p)
 	// Move to cylinder 9 (block 90): seek = 2 + 1*3 = 5; rot 4; xfer 2.
-	req := d.Submit(&Request{Start: 90, Count: 1})
+	req := submit(d, 90, 1)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if req.Done.At() != 11 {
-		t.Fatalf("done at %v, want 11", req.Done.At())
+	if req.done() != 11 {
+		t.Fatalf("done at %v, want 11", req.done())
 	}
 }
 
@@ -416,11 +452,11 @@ func TestAccessorsAndGeometry(t *testing.T) {
 	if d.Busy() {
 		t.Fatal("new disk busy")
 	}
-	d.Submit(&Request{Start: 0, Count: 1})
+	submit(d, 0, 1)
 	if !d.Busy() {
 		t.Fatal("disk with request not busy")
 	}
-	d.Submit(&Request{Start: 0, Count: 1})
+	submit(d, 0, 1)
 	if d.QueueLen() != 1 {
 		t.Fatalf("queue = %d", d.QueueLen())
 	}
@@ -458,15 +494,15 @@ func TestSCANSweepsInOrder(t *testing.T) {
 	d := newTestDisk(t, k, p)
 	// Occupy the disk at cylinder 0, then queue requests at cylinders
 	// 7, 3, 9, 1 out of order. Sweeping up from 0 serves 1, 3, 7, 9.
-	d.Submit(&Request{Start: 0, Count: 1})
-	c7 := d.Submit(&Request{Start: 70, Count: 1})
-	c3 := d.Submit(&Request{Start: 30, Count: 1})
-	c9 := d.Submit(&Request{Start: 90, Count: 1})
-	c1 := d.Submit(&Request{Start: 10, Count: 1})
+	submit(d, 0, 1)
+	c7 := submit(d, 70, 1)
+	c3 := submit(d, 30, 1)
+	c9 := submit(d, 90, 1)
+	c1 := submit(d, 10, 1)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	order := []sim.Time{c1.Done.At(), c3.Done.At(), c7.Done.At(), c9.Done.At()}
+	order := []sim.Time{c1.done(), c3.done(), c7.done(), c9.done()}
 	for i := 1; i < len(order); i++ {
 		if order[i] <= order[i-1] {
 			t.Fatalf("SCAN order violated: %v", order)
@@ -480,12 +516,12 @@ func TestSCANReversesWhenNothingAhead(t *testing.T) {
 	k := sim.New()
 	d := newTestDisk(t, k, p)
 	// Move head up to cylinder 9 first, then serve lower requests.
-	d.Submit(&Request{Start: 90, Count: 1})
-	low := d.Submit(&Request{Start: 20, Count: 1})
+	submit(d, 90, 1)
+	low := submit(d, 20, 1)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !low.Done.Done() {
+	if low.done() < 0 {
 		t.Fatal("downward request never served")
 	}
 	if d.CurrentCylinder() != 2 {

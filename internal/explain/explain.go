@@ -14,8 +14,8 @@
 // compute + stall + initial load + idle = makespan; and the attributed
 // stall total must equal core's Result.StallTime (both sides sum the
 // same recorded intervals). Check enforces all of it within Epsilon,
-// and the property tests in this package replay the engine A/B config
-// matrix through it.
+// and the property tests in this package replay the engine config
+// matrix (coretest.Matrix) through it.
 package explain
 
 import (

@@ -6,161 +6,13 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/disk"
+	"repro/internal/core/coretest"
 	"repro/internal/explain"
 	"repro/internal/faults"
-	"repro/internal/layout"
-	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
-
-// abConfigs mirrors the engine A/B matrix from internal/core's
-// engineab_test.go: every synchronization mode, placement, queue
-// discipline, rotational model, run policy, admission policy, writer
-// mode, fault flavour, and workload family. The conservation invariant
-// must hold on every point the engines are pinned on.
-func abConfigs() map[string]core.Config {
-	small := func() core.Config {
-		cfg := core.Default()
-		cfg.K, cfg.D, cfg.BlocksPerRun = 8, 4, 60
-		cfg.CacheBlocks = cfg.DefaultCache()
-		return cfg
-	}
-	cfgs := map[string]core.Config{}
-
-	cfgs["no-prefetch"] = small()
-
-	c := small()
-	c.N = 4
-	c.Synchronized = true
-	c.CacheBlocks = c.DefaultCache()
-	cfgs["intra-sync"] = c
-
-	c = small()
-	c.N = 4
-	c.CacheBlocks = c.DefaultCache()
-	cfgs["intra-unsync"] = c
-
-	c = small()
-	c.N = 3
-	c.InterRun = true
-	c.Synchronized = true
-	c.CacheBlocks = c.DefaultCache()
-	cfgs["inter-sync"] = c
-
-	c = small()
-	c.N = 3
-	c.InterRun = true
-	c.CacheBlocks = c.DefaultCache()
-	cfgs["inter-unsync"] = c
-
-	c = small()
-	c.N = 3
-	c.InterRun = true
-	c.Placement = layout.Striped
-	c.CacheBlocks = c.DefaultCache()
-	cfgs["striped"] = c
-
-	c = small()
-	c.N = 3
-	c.InterRun = true
-	c.Placement = layout.Clustered
-	c.RunPolicy = core.LeastBufferedRun
-	c.CacheBlocks = c.DefaultCache()
-	cfgs["clustered-least-buffered"] = c
-
-	c = small()
-	c.N = 3
-	c.InterRun = true
-	c.RunPolicy = core.RoundRobinRun
-	c.Disk.Discipline = disk.SSTF
-	c.CacheBlocks = c.DefaultCache()
-	cfgs["round-robin-sstf"] = c
-
-	c = small()
-	c.N = 4
-	c.Disk.Discipline = disk.SCAN
-	c.Disk.Rotational = disk.RotConstant
-	cfgs["scan-rot-constant"] = c
-
-	c = small()
-	c.N = 4
-	c.Disk.Rotational = disk.RotPositional
-	cfgs["rot-positional"] = c
-
-	c = small()
-	c.N = 5
-	c.InterRun = true
-	c.Admission = cache.Greedy
-	c.CacheBlocks = c.K*c.N/2 + c.K
-	cfgs["greedy-tight-cache"] = c
-
-	c = small()
-	c.N = 6
-	c.InterRun = true
-	c.AdaptiveN = true
-	c.CacheBlocks = c.K*c.N/2 + c.K
-	cfgs["adaptive-n"] = c
-
-	c = small()
-	c.N = 3
-	c.MergeTimePerBlock = sim.Ms(0.7)
-	cfgs["finite-cpu"] = c
-
-	c = small()
-	c.N = 3
-	c.Write = core.WriteConfig{Enabled: true, Disks: 2, BatchBlocks: 4, BufferBlocks: 10}
-	cfgs["write-separate"] = c
-
-	c = small()
-	c.N = 3
-	c.MergeTimePerBlock = sim.Ms(0.2)
-	c.Write = core.WriteConfig{Enabled: true, Shared: true}
-	cfgs["write-shared"] = c
-
-	c = small()
-	c.N = 3
-	c.Faults = &faults.Spec{Disks: []faults.DiskSpec{
-		{Disk: 0, Slowdown: 2.5, SlowdownAtMs: 200},
-		{Disk: 2, ReadErrorProb: 0.05, MaxRetries: 50},
-		{Disk: 3, Outages: []faults.Window{{StartMs: 100, EndMs: 400}}},
-	}}
-	cfgs["faulty-disks"] = c
-
-	c = small()
-	c.N = 3
-	c.InterRun = true
-	c.CacheBlocks = c.DefaultCache()
-	c.WorkloadFactory = func(trial int) workload.Model {
-		return &workload.Skewed{R: rng.New(uint64(trial) + 7), Theta: 0.8}
-	}
-	cfgs["skewed-workload"] = c
-
-	c = small()
-	c.N = 3
-	c.InterRun = true
-	c.RunPolicy = core.OracleRun
-	c.CacheBlocks = c.DefaultCache()
-	c.WorkloadFactory = func(trial int) workload.Model {
-		seq := make([]int, 2000)
-		for i := range seq {
-			seq[i] = (i*(trial+3) + i/7) % 8
-		}
-		return &workload.Sequence{Runs: seq}
-	}
-	cfgs["oracle-sequence"] = c
-
-	c = small()
-	c.N = 4
-	c.MaxSimTime = sim.Ms(1500)
-	cfgs["timed-out"] = c
-
-	return cfgs
-}
 
 // runTraced executes one traced replication and returns the result with
 // its recorder.
@@ -174,14 +26,14 @@ func runTraced(t *testing.T, cfg core.Config, workers int) (core.Result, *trace.
 	return aggs[0].Results[0], cfg.Trace
 }
 
-// TestConservationMatrix replays the full A/B config matrix and demands
+// TestConservationMatrix replays the engine config matrix and demands
 // the conservation invariant on each point: the report's per-disk and
 // CPU decompositions tile the makespan and the attributed stall total
 // equals Result.StallTime.
 func TestConservationMatrix(t *testing.T) {
-	for name, cfg := range abConfigs() {
-		t.Run(name, func(t *testing.T) {
-			res, rec := runTraced(t, cfg, 1)
+	for _, c := range coretest.Matrix() {
+		t.Run(c.Name, func(t *testing.T) {
+			res, rec := runTraced(t, c.Config, 1)
 			rep := explain.Build(rec, explain.Options{Makespan: res.TotalTime})
 			if err := rep.Check(res.StallTime); err != nil {
 				t.Fatal(err)
@@ -202,9 +54,9 @@ func TestConservationMatrix(t *testing.T) {
 // explain every demand stall on the matrix: unattributed time means the
 // join logic lost a span, not that the system behaved unusually.
 func TestAttributionCoversStalls(t *testing.T) {
-	for name, cfg := range abConfigs() {
-		t.Run(name, func(t *testing.T) {
-			res, rec := runTraced(t, cfg, 1)
+	for _, c := range coretest.Matrix() {
+		t.Run(c.Name, func(t *testing.T) {
+			res, rec := runTraced(t, c.Config, 1)
 			rep := explain.Build(rec, explain.Options{Makespan: res.TotalTime})
 			if rep.Stall.Unattributed != 0 {
 				t.Fatalf("unattributed stall %v of total %v", rep.Stall.Unattributed, rep.Stall.Total)
@@ -261,9 +113,9 @@ func tracedConfig() core.Config {
 // track, phase spans never overlap, and the non-outage span lengths sum
 // to the disk's accumulated Stats.BusyTime.
 func TestDiskSpansTileBusyTime(t *testing.T) {
-	for name, cfg := range abConfigs() {
-		t.Run(name, func(t *testing.T) {
-			res, rec := runTraced(t, cfg, 1)
+	for _, c := range coretest.Matrix() {
+		t.Run(c.Name, func(t *testing.T) {
+			res, rec := runTraced(t, c.Config, 1)
 			byTrack := map[int][]trace.DiskSpan{}
 			for _, s := range rec.DiskSpans() {
 				byTrack[s.Track] = append(byTrack[s.Track], s)

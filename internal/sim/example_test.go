@@ -6,47 +6,66 @@ import (
 	"repro/internal/sim"
 )
 
-// Example demonstrates the process-oriented kernel: two processes
-// sharing a unit resource under simulated time.
+// Example demonstrates the event-scheduling kernel: a unit server
+// modelled as callbacks. Each arrival either starts service or queues;
+// each departure schedules the next service from the queue.
 func Example() {
 	k := sim.New()
-	server := k.NewResource(1)
+	const service = 10 * sim.Millisecond
+	var queue []string
+	busy := false
+	var busyTime sim.Time
 
+	var start func(name string)
+	start = func(name string) {
+		busy = true
+		busyTime += service
+		k.After(service, func() {
+			fmt.Printf("%s served at %v\n", name, k.Now())
+			busy = false
+			if len(queue) > 0 {
+				next := queue[0]
+				queue = queue[1:]
+				start(next)
+			}
+		})
+	}
 	for i := 0; i < 2; i++ {
 		name := fmt.Sprintf("client-%d", i)
-		k.Spawn(name, func(p *sim.Proc) {
-			p.Acquire(server)
-			p.Sleep(10 * sim.Millisecond)
-			fmt.Printf("%s served at %v\n", p.Name(), p.Now())
-			server.Release()
+		k.At(0, func() {
+			if busy {
+				queue = append(queue, name)
+				return
+			}
+			start(name)
 		})
 	}
 	if err := k.Run(); err != nil {
 		panic(err)
 	}
-	fmt.Printf("utilization: %.0f%%\n", 100*server.Utilization())
+	fmt.Printf("utilization: %.0f%%\n", 100*float64(busyTime)/float64(k.Now()))
 	// Output:
 	// client-0 served at 10ms
 	// client-1 served at 20ms
 	// utilization: 100%
 }
 
-// ExampleCompletion shows one-shot synchronization between processes.
-func ExampleCompletion() {
+// ExampleKernel_Retain shows liveness accounting: an actor that waits
+// on another's progress retains the kernel until it finishes, so a run
+// that drains while it still waits reports a deadlock.
+func ExampleKernel_Retain() {
 	k := sim.New()
-	done := k.NewCompletion()
-
-	k.Spawn("io", func(p *sim.Proc) {
-		p.Sleep(25)
-		done.Complete()
+	k.Retain()
+	k.After(25, func() {
+		fmt.Printf("io done at %v\n", k.Now())
+		k.After(0, func() {
+			fmt.Printf("cpu resumed at %v\n", k.Now())
+			k.Release()
+		})
 	})
-	k.Spawn("cpu", func(p *sim.Proc) {
-		p.Await(done)
-		fmt.Printf("resumed at %v\n", p.Now())
-	})
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
+	fmt.Println(k.Run())
 	// Output:
-	// resumed at 25ms
+	// io done at 25ms
+	// cpu resumed at 25ms
+	// <nil>
 }

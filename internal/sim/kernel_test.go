@@ -2,6 +2,7 @@ package sim
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -150,24 +151,28 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func() []string {
 		k := New()
 		var log []string
-		k.Spawn("a", func(p *Proc) {
-			for i := 0; i < 5; i++ {
-				p.Sleep(2)
-				log = append(log, "a")
+		// Two actors each re-arm their own timer five times; at t=6 and
+		// t=12 both fire at one instant, where schedule order decides.
+		var tick func(name string, period Time, left int) func()
+		tick = func(name string, period Time, left int) func() {
+			return func() {
+				log = append(log, name)
+				if left > 1 {
+					k.After(period, tick(name, period, left-1))
+				}
 			}
-		})
-		k.Spawn("b", func(p *Proc) {
-			for i := 0; i < 5; i++ {
-				p.Sleep(3)
-				log = append(log, "b")
-			}
-		})
+		}
+		k.After(2, tick("a", 2, 5))
+		k.After(3, tick("b", 3, 5))
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return log
 	}
 	first := run()
+	if len(first) != 10 {
+		t.Fatalf("ran %d events, want 10: %v", len(first), first)
+	}
 	for trial := 0; trial < 5; trial++ {
 		again := run()
 		if len(again) != len(first) {
@@ -178,6 +183,33 @@ func TestDeterministicReplay(t *testing.T) {
 				t.Fatalf("replay diverged at %d: %v vs %v", i, first, again)
 			}
 		}
+	}
+}
+
+func TestDeadlockDetection(t *testing.T) {
+	k := New()
+	k.Retain() // an actor that never reaches its terminal state
+	k.After(1, func() {})
+	if err := k.Run(); err != ErrDeadlock {
+		t.Fatalf("err = %v, want ErrDeadlock", err)
+	}
+}
+
+func TestRetainReleaseBalanced(t *testing.T) {
+	k := New()
+	k.Retain()
+	k.After(1, k.Release)
+	if err := k.Run(); err != nil {
+		t.Fatalf("err = %v, want nil", err)
+	}
+}
+
+func TestWriterTracer(t *testing.T) {
+	var sb strings.Builder
+	tr := WriterTracer{W: &sb}
+	tr.Event(12.5, "proc-start", "cpu")
+	if !strings.Contains(sb.String(), "proc-start") || !strings.Contains(sb.String(), "cpu") {
+		t.Fatalf("tracer output %q", sb.String())
 	}
 }
 
