@@ -60,6 +60,20 @@ func TestHashSeparatesConfigs(t *testing.T) {
 	}
 }
 
+// TestHashStable pins the default configuration's hash. Hashes key the
+// simd result cache and the persistent disk tier, so they must stay
+// stable across releases: a change here orphans every stored entry.
+func TestHashStable(t *testing.T) {
+	const want = "f73d2214ccff36df6b94020c4eeec1605dbb3cdcc61f9f35f0b9eeb791b4493a"
+	got, err := Default().Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("Default().Hash() = %s, want %s", got, want)
+	}
+}
+
 func TestCanonicalJSONRefusesCallbacks(t *testing.T) {
 	cases := map[string]func(*Config){
 		"Workload":        func(c *Config) { c.Workload = &workload.Sequence{} },
