@@ -146,36 +146,11 @@ func BenchmarkKernelEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelEventsTraced is the zero-overhead guard for the
-// tracing subsystem: the same event loop as BenchmarkKernelEvents with
-// a trace.Recorder installed on the kernel. Timer-event dispatch has no
-// tracer hook — recording happens at process boundaries and in the
-// model layer (disk, engine, cache) — so this must match
-// BenchmarkKernelEvents within noise.
-func BenchmarkKernelEventsTraced(b *testing.B) {
-	k := sim.New()
-	k.SetTracer(trace.New(1024))
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			k.After(1, tick)
-		}
-	}
-	k.After(1, tick)
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkExplainReport measures the offline trace-analytics pass:
 // one full stall-attribution report built (and conservation-checked)
 // per iteration from a pre-recorded trace of a faulty, write-enabled
 // merge. Tracing itself stays out of the loop — explain is pure
-// post-processing, so untraced simulations pay nothing for it (the
-// KernelEvents vs KernelEventsTraced pair above guards the recording
-// side).
+// post-processing, so untraced simulations pay nothing for it.
 func BenchmarkExplainReport(b *testing.B) {
 	cfg := core.Default()
 	cfg.K = 8

@@ -119,7 +119,6 @@ func main() {
 		fatal(fmt.Errorf("fault flags need -fault-disk to name the target disk"))
 	}
 
-	cfg.RecordTimeline = *ganttMs > 0
 	var logFile *os.File
 	var logBuf *bufio.Writer
 	if *reqLog != "" {
@@ -211,25 +210,43 @@ func main() {
 	}
 
 	if *ganttMs > 0 {
-		res := agg.Results[0]
 		fmt.Printf("\ndisk busy timeline, first %.0f ms (trial 1):\n", *ganttMs)
-		var rows []table.GanttRow
-		for i, ivs := range res.Timeline {
-			label := fmt.Sprintf("disk %d", i)
-			if i >= cfg.D {
-				label = fmt.Sprintf("write %d", i-cfg.D)
-			}
-			row := table.GanttRow{Label: label}
-			for _, iv := range ivs {
-				row.Intervals = append(row.Intervals,
-					[2]float64{iv.Start.Milliseconds(), iv.End.Milliseconds()})
-			}
-			rows = append(rows, row)
+		rows, err := ganttRows(cfg)
+		if err != nil {
+			fatal(err)
 		}
 		if err := table.WriteGantt(os.Stdout, rows, 0, *ganttMs, 80); err != nil {
 			fatal(err)
 		}
 	}
+}
+
+// ganttRows reruns trial 1 of cfg under its own recorder and returns
+// one row per disk track, its busy time being every recorded phase but
+// outage waits (the disk is down then, not busy). A separate run keeps
+// the chart available at any trial count.
+func ganttRows(cfg core.Config) ([]table.GanttRow, error) {
+	rec := trace.New(0)
+	cfg.Trace, cfg.OnRequest = rec, nil
+	if _, err := core.Run(cfg); err != nil {
+		return nil, err
+	}
+	if rec.Truncated() {
+		fmt.Fprintln(os.Stderr, "mergesim: Gantt trace hit its event cap; later spans are missing")
+	}
+	// Disk tracks follow the CPU track: input disks, then write disks.
+	const first = trace.CPUTrack + 1
+	rows := make([]table.GanttRow, rec.Tracks()-first)
+	for i := range rows {
+		rows[i].Label = rec.TrackName(first + i)
+	}
+	for _, s := range rec.DiskSpans() {
+		if s.Phase != trace.PhaseOutage {
+			row := &rows[s.Track-first]
+			row.Intervals = append(row.Intervals, [2]float64{s.Start.Milliseconds(), s.End.Milliseconds()})
+		}
+	}
+	return rows, nil
 }
 
 // emitJSON writes the shared machine-readable result schema

@@ -112,9 +112,7 @@ type Config struct {
 	// MaxSimTime aborts the simulation once the virtual clock passes
 	// this horizon (zero = unlimited). Run returns the partial result
 	// with TimedOut set — a guard for sweeps that may hit pathological
-	// configurations. Note: a timed-out run abandons its parked merge
-	// goroutine (a few KB each); guard rare outliers with it rather
-	// than timing out by design in tight loops.
+	// configurations.
 	MaxSimTime sim.Time
 
 	Disk      disk.Params
@@ -152,26 +150,21 @@ type Config struct {
 
 	Seed uint64
 
-	// Tracer, if non-nil, observes the simulation.
-	Tracer sim.Tracer
-
 	// Trace, if non-nil, records an execution timeline into the given
 	// recorder: per-disk seek/rotation/retry/transfer spans, CPU
-	// compute/stall intervals, prefetch issue→complete spans and
-	// cache-occupancy samples, all in simulated time (see
-	// internal/trace). Observation only — a traced run produces the
-	// exact result of an untraced one, and the field is excluded from
-	// the canonical encoding, so traced and untraced configs share a
-	// Hash. Like Tracer, it forces RunTrials/RunGrid serial.
+	// compute/stall intervals, prefetch issue→complete spans,
+	// cache-occupancy samples and the merge's proc-start/proc-end marks,
+	// all in simulated time (see internal/trace). Observation only — a
+	// traced run produces the exact result of an untraced one, and the
+	// field is excluded from the canonical encoding, so traced and
+	// untraced configs share a Hash. It forces RunGrid serial, and a
+	// recorder observes one run, so RunTrials/RunGrid refuse it with
+	// trials > 1.
 	Trace *trace.Recorder
 
-	// RecordTimeline captures per-disk busy intervals into
-	// Result.Timeline (bounded; see core.Interval).
-	RecordTimeline bool
-
 	// OnRequest, if non-nil, observes every disk request at dispatch
-	// (input and output disks alike). Like Tracer, it forces RunTrials
-	// to run serially.
+	// (input and output disks alike). Like Trace, it forces RunTrials
+	// and RunGrid to run serially.
 	OnRequest func(disk.RequestTrace)
 }
 

@@ -67,9 +67,6 @@ type engine struct {
 	writer   *writer
 	writeRot *rng.Stream
 
-	// timeline is non-nil when cfg.RecordTimeline is set.
-	timeline *timeline
-
 	// Adaptive prefetch depth (AIMD; equals cfg.N when not adaptive).
 	curN        int
 	admitStreak int
@@ -126,9 +123,10 @@ func (e *engine) runError(err error) error {
 
 // RunTrials simulates trials independent replications (seeds Seed,
 // Seed+1, ...) and aggregates them: a single-point RunGrid on the
-// default worker pool. Replications run on parallel goroutines when no
-// Tracer or request observer is installed; results are aggregated in
-// trial order, so the outcome is identical to a serial run.
+// default worker pool. Replications run on parallel goroutines unless
+// an OnRequest observer is installed; results are aggregated in trial
+// order, so the outcome is identical to a serial run. A Trace recorder
+// observes one run, so RunTrials refuses it with trials > 1.
 func RunTrials(cfg Config, trials int) (Aggregate, error) {
 	aggs, err := RunGrid([]Config{cfg}, trials, 0)
 	if err != nil {
@@ -139,13 +137,6 @@ func RunTrials(cfg Config, trials int) (Aggregate, error) {
 
 func newEngine(cfg Config) (*engine, error) {
 	k := sim.New()
-	if cfg.Tracer != nil {
-		k.SetTracer(cfg.Tracer)
-	} else if cfg.Trace != nil {
-		// The recorder doubles as the kernel tracer so the merge's
-		// lifecycle events land as marks on the CPU track.
-		k.SetTracer(cfg.Trace)
-	}
 	lay, err := layout.NewLengths(cfg.Placement, cfg.runLengths(), cfg.D)
 	if err != nil {
 		return nil, err
@@ -200,7 +191,7 @@ func newEngine(cfg Config) (*engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		dk.SetBusyObserver(e.observerFor(d))
+		dk.SetBusyObserver(e.observeBusy)
 		if cfg.OnRequest != nil {
 			dk.SetRequestObserver(cfg.OnRequest)
 		}
@@ -226,29 +217,12 @@ func newEngine(cfg Config) (*engine, error) {
 		return nil, err
 	}
 	e.writer = w
-	if cfg.RecordTimeline {
-		n := len(e.disks)
-		if w != nil && !w.cfg.Shared {
-			n += len(w.disks)
-		}
-		e.timeline = newTimeline(n)
-	}
 	e.m = newMachine(e)
 	return e, nil
 }
 
-// observerFor returns the busy observer for disk index i, feeding both
-// the concurrency integral and, when enabled, the timeline.
-func (e *engine) observerFor(i int) func(at sim.Time, busy bool) {
-	return func(at sim.Time, busy bool) {
-		e.observeBusy(at, busy)
-		if e.timeline != nil {
-			e.timeline.observe(i, at, busy)
-		}
-	}
-}
-
-// observeBusy integrates the number of concurrently busy disks.
+// observeBusy integrates the number of concurrently busy disks; every
+// disk, input and output alike, installs it as its busy observer.
 func (e *engine) observeBusy(at sim.Time, busy bool) {
 	dt := float64(at - e.lastBusyT)
 	e.busyIntegral += float64(e.busyCount) * dt
@@ -477,10 +451,6 @@ func (e *engine) result() Result {
 				res.PerWriteDisk = append(res.PerWriteDisk, d.Stats())
 			}
 		}
-	}
-	if e.timeline != nil {
-		e.timeline.finish(e.finish)
-		res.Timeline = e.timeline.disks
 	}
 	res.StallHistogram = e.stallHist
 	return res

@@ -167,7 +167,7 @@ type canonicalConfig struct {
 	WriteBuffer  int  `json:"write_buffer_blocks"`
 
 	Seed           uint64 `json:"seed"`
-	RecordTimeline bool   `json:"record_timeline"`
+	LegacyTimeline bool   `json:"record_timeline"`
 
 	// Appended after the fields above (see the ordering rule); omitted
 	// when nil so every pre-fault-layer cache key is unchanged.
@@ -196,8 +196,6 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 		return nil, fmt.Errorf("core: config with a caller-supplied Workload has no canonical encoding")
 	case c.WorkloadFactory != nil:
 		return nil, fmt.Errorf("core: config with a WorkloadFactory has no canonical encoding")
-	case c.Tracer != nil:
-		return nil, fmt.Errorf("core: config with a Tracer has no canonical encoding")
 	case c.OnRequest != nil:
 		return nil, fmt.Errorf("core: config with an OnRequest observer has no canonical encoding")
 	}
@@ -239,8 +237,11 @@ func (c Config) CanonicalJSON() ([]byte, error) {
 		WriteBatch:   c.Write.BatchBlocks,
 		WriteBuffer:  c.Write.BufferBlocks,
 
-		Seed:           c.Seed,
-		RecordTimeline: c.RecordTimeline,
+		Seed: c.Seed,
+		// Config no longer has a timeline switch, but its key stays in
+		// the encoding, always false: hashes are stable across releases,
+		// and the result caches store entries under them.
+		LegacyTimeline: false,
 	}
 	if c.Faults != nil {
 		// A non-nil spec with no entries appends nothing, so it encodes

@@ -74,15 +74,13 @@ func newMachine(e *engine) *machine {
 
 // start schedules the machine's first event. Liveness is retained
 // immediately, so a merge that can never finish reports a deadlock; the
-// body starts after already-pending same-instant events; and the
-// kernel tracer sees a proc-start mark (proc-end follows in finish).
+// body starts after already-pending same-instant events; and the trace
+// recorder gets a proc-start mark (proc-end follows in finish).
 func (m *machine) start() {
 	e := m.e
 	e.k.Retain()
 	e.k.After(0, func() {
-		if tr := e.k.Tracer(); tr != nil {
-			tr.Event(e.k.Now(), "proc-start", "cpu")
-		}
+		e.cfg.Trace.Mark(trace.CPUTrack, "proc-start:cpu", e.k.Now())
 		m.initialLoad()
 	})
 }
@@ -347,9 +345,7 @@ func (m *machine) finish() {
 	e := m.e
 	e.finish = e.k.Now()
 	m.state = msDone
-	if tr := e.k.Tracer(); tr != nil {
-		tr.Event(e.k.Now(), "proc-end", "cpu")
-	}
+	e.cfg.Trace.Mark(trace.CPUTrack, "proc-end:cpu", e.k.Now())
 	e.k.Release()
 }
 

@@ -50,10 +50,6 @@ type Result struct {
 	// in shared mode, where writes appear inside PerDisk.
 	PerWriteDisk []disk.Stats
 
-	// Timeline holds per-disk busy intervals (input disks first, then
-	// any separate write disks) when Config.RecordTimeline is set.
-	Timeline [][]Interval
-
 	// MeanDepth is the average prefetch depth used at I/O decisions —
 	// equal to Config.N for fixed-depth runs, the controller's average
 	// under AdaptiveN.

@@ -130,16 +130,44 @@ func TestTraceOutageSpan(t *testing.T) {
 }
 
 // TestTracerSeesMergeLifecycle checks the merge brackets its run with
-// one proc-start and one proc-end mark on the kernel tracer, including
-// when the merge parks on writes and finite CPU time.
+// one proc-start and one proc-end mark on the recorder's CPU track, at
+// time zero and at the makespan, including when the merge parks on
+// writes and finite CPU time.
 func TestTracerSeesMergeLifecycle(t *testing.T) {
 	cfg := tracedConfig()
-	tr := sim.NewCountingTracer()
-	cfg.Tracer = tr
-	if _, err := Run(cfg); err != nil {
+	cfg.Trace = trace.New(0)
+	res, err := Run(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Counts["proc-start"] != 1 || tr.Counts["proc-end"] != 1 {
-		t.Fatalf("tracer counts = %v", tr.Counts)
+	at := map[string][]sim.Time{}
+	for _, m := range cfg.Trace.Marks() {
+		if m.Track == trace.CPUTrack {
+			at[m.Name] = append(at[m.Name], m.At)
+		}
+	}
+	start, end := at["proc-start:cpu"], at["proc-end:cpu"]
+	if len(start) != 1 || len(end) != 1 {
+		t.Fatalf("CPU marks = %v, want one proc-start:cpu and one proc-end:cpu", at)
+	}
+	if start[0] != 0 || end[0] != res.TotalTime {
+		t.Fatalf("lifecycle marks at %v..%v, want 0..%v", start[0], end[0], res.TotalTime)
+	}
+}
+
+// TestGridRefusesSharedRecorder checks a traced config cannot run more
+// than one trial: every replication would interleave its spans into the
+// one recorder.
+func TestGridRefusesSharedRecorder(t *testing.T) {
+	cfg := tracedConfig()
+	cfg.Trace = trace.New(0)
+	if _, err := RunGrid([]Config{cfg}, 2, 1); err == nil {
+		t.Fatal("RunGrid accepted a Trace recorder shared across 2 trials")
+	}
+	if _, err := RunTrials(cfg, 2); err == nil {
+		t.Fatal("RunTrials accepted a Trace recorder shared across 2 trials")
+	}
+	if cfg.Trace.Len() != 0 {
+		t.Fatalf("refused grid still recorded %d events", cfg.Trace.Len())
 	}
 }

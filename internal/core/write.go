@@ -150,7 +150,7 @@ func newWriter(e *engine) (*writer, error) {
 		if err != nil {
 			return nil, err
 		}
-		dk.SetBusyObserver(e.observerFor(id))
+		dk.SetBusyObserver(e.observeBusy)
 		if e.cfg.OnRequest != nil {
 			dk.SetRequestObserver(e.cfg.OnRequest)
 		}

@@ -137,48 +137,3 @@ func TestWriteDefaults(t *testing.T) {
 		t.Fatalf("5-disk buffer = %d, want 100", w.BufferBlocks)
 	}
 }
-
-func TestTimelineRecording(t *testing.T) {
-	cfg := Default()
-	cfg.K, cfg.D, cfg.BlocksPerRun, cfg.N = 10, 2, 100, 5
-	cfg.InterRun = true
-	cfg.CacheBlocks = cache.Unlimited
-	cfg.RecordTimeline = true
-	cfg.Write = WriteConfig{Enabled: true, Disks: 1}
-	res := mustRun(t, cfg)
-	// 2 input disks + 1 write disk.
-	if len(res.Timeline) != 3 {
-		t.Fatalf("timeline tracks = %d", len(res.Timeline))
-	}
-	for i, ivs := range res.Timeline {
-		if len(ivs) == 0 {
-			t.Fatalf("disk %d recorded no intervals", i)
-		}
-		var busy sim.Time
-		last := sim.Time(-1)
-		for _, iv := range ivs {
-			if iv.End <= iv.Start || iv.Start < last {
-				t.Fatalf("disk %d: malformed interval %+v", i, iv)
-			}
-			last = iv.End
-			busy += iv.End - iv.Start
-		}
-		// Busy intervals must match the disk's accounted busy time.
-		var want sim.Time
-		if i < cfg.D {
-			want = res.PerDisk[i].BusyTime
-		} else {
-			want = res.PerWriteDisk[i-cfg.D].BusyTime
-		}
-		if diff := busy - want; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("disk %d: timeline busy %v != stats busy %v", i, busy, want)
-		}
-	}
-}
-
-func TestTimelineDisabledByDefault(t *testing.T) {
-	res := mustRun(t, small())
-	if res.Timeline != nil {
-		t.Fatal("timeline recorded without RecordTimeline")
-	}
-}

@@ -219,8 +219,6 @@ type Kernel struct {
 
 	// live counts actors retained and not yet released.
 	live int
-
-	trace Tracer
 }
 
 // New returns an empty kernel with the clock at zero.
@@ -230,12 +228,6 @@ func New() *Kernel {
 
 // Now returns the current simulated time.
 func (k *Kernel) Now() Time { return k.now }
-
-// SetTracer installs t to observe kernel activity; nil disables tracing.
-func (k *Kernel) SetTracer(t Tracer) { k.trace = t }
-
-// Tracer returns the installed tracer, or nil.
-func (k *Kernel) Tracer() Tracer { return k.trace }
 
 // Retain registers an event-driven actor with the kernel's liveness
 // accounting: if the calendar drains while any actor is still retained,

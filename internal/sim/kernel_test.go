@@ -2,7 +2,6 @@ package sim
 
 import (
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -201,15 +200,6 @@ func TestRetainReleaseBalanced(t *testing.T) {
 	k.After(1, k.Release)
 	if err := k.Run(); err != nil {
 		t.Fatalf("err = %v, want nil", err)
-	}
-}
-
-func TestWriterTracer(t *testing.T) {
-	var sb strings.Builder
-	tr := WriterTracer{W: &sb}
-	tr.Event(12.5, "proc-start", "cpu")
-	if !strings.Contains(sb.String(), "proc-start") || !strings.Contains(sb.String(), "cpu") {
-		t.Fatalf("tracer output %q", sb.String())
 	}
 }
 

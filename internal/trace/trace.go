@@ -148,7 +148,8 @@ const CPUTrack = 0
 // A Recorder is not safe for concurrent use; the engine touches it only
 // from kernel context, which is single-threaded per run (and
 // core.RunGrid forces traced grids serial, exactly as it does for
-// Tracer callbacks).
+// OnRequest callbacks). It observes one run: core.RunGrid refuses a
+// traced config with more than one trial.
 //
 // All fields are unexported: a Recorder carries observations, never
 // configuration, so it contributes nothing to core.Config's canonical
@@ -268,22 +269,6 @@ func (r *Recorder) Mark(track int, name string, at sim.Time) {
 	}
 	//detlint:allow hotalloc tracing-enabled runs only; the zero-alloc path carries a nil recorder
 	r.marks = append(r.marks, Mark{Track: track, Name: name, At: at})
-}
-
-// Event implements sim.Tracer, so a Recorder can be installed as the
-// kernel's tracer: process lifecycle events land as marks on the CPU
-// track.
-func (r *Recorder) Event(t sim.Time, kind string, args ...any) {
-	if r == nil {
-		return
-	}
-	name := kind
-	if len(args) > 0 {
-		if s, ok := args[0].(string); ok {
-			name = kind + ":" + s
-		}
-	}
-	r.Mark(CPUTrack, name, t)
 }
 
 // Len returns the number of recorded events.

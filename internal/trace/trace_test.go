@@ -19,7 +19,6 @@ func TestNilRecorderIsInert(t *testing.T) {
 	r.Prefetch(1, 0, 4, 0, 1)
 	r.CacheSample(1, 3)
 	r.Mark(0, "x", 2)
-	r.Event(0, "proc-start", "cpu")
 	if r.Len() != 0 || r.Truncated() || r.Tracks() != 0 {
 		t.Fatalf("nil recorder accumulated state: len=%d truncated=%v", r.Len(), r.Truncated())
 	}
@@ -61,8 +60,8 @@ func TestEventCapTruncates(t *testing.T) {
 
 func TestEmptySpansDropped(t *testing.T) {
 	r := New(0)
-	r.DiskPhase(1, PhaseSeek, 5, 5)   // zero-length: a 0-cylinder seek
-	r.CPUSpan(CPUStall, 7, 6)         // non-positive
+	r.DiskPhase(1, PhaseSeek, 5, 5) // zero-length: a 0-cylinder seek
+	r.CPUSpan(CPUStall, 7, 6)       // non-positive
 	if r.Len() != 0 {
 		t.Fatalf("recorded %d events from empty spans", r.Len())
 	}
