@@ -2,24 +2,10 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 
 	"repro/internal/core"
 	"repro/internal/explain"
-	"repro/internal/trace"
 )
-
-// explainKey keys cached explain reports. It shares the config's
-// canonical hash with the result cache but lives under its own suffix:
-// an explain body embeds the attribution report, so it can never be
-// served as a plain result (or vice versa).
-func explainKey(cfg core.Config, trials int) (string, error) {
-	key, err := resultKey(cfg, trials)
-	if err != nil {
-		return "", err
-	}
-	return key + "/explain", nil
-}
 
 // explainResponse is the wire form of an explain: the shared result
 // schema plus the attribution report. TraceTruncated shadows the
@@ -32,92 +18,34 @@ type explainResponse struct {
 	Explain        *explain.Report `json:"explain"`
 }
 
-// Explain serves one attributed point: it runs the config traced
-// (trials = 1, admitted through the same gate as everything else),
-// builds the internal/explain report, verifies the conservation
-// invariant against the engine's own stall total, and returns result +
-// report. The report is a pure function of the canonical config hash,
-// so the whole body is cached under hash/trials/explain and a repeat
-// request is a cache hit with no engine run; the plain result body is
-// also cached under the normal key for later untraced requests.
+// Explain serves one attributed point: the explained variant of a
+// simulate. Its run is traced, the internal/explain report is built
+// and checked for conservation against the engine's own stall total,
+// and the response is result + report. The report is a pure function
+// of the canonical config hash, so the whole body is cached under
+// hash/trials/explain and shared like any other flight: a repeat is a
+// cache hit with no engine run, and concurrent identical explains share
+// one run. The plain result body is also cached under the normal key
+// for later untraced requests.
 //
 // Requests with the trace flag set are rejected (explain consumes the
 // trace internally; ask for one or the other), as are trials > 1 (a
 // trace records one replication's timeline).
 func (s *Service) Explain(ctx context.Context, req SimulateRequest) ([]byte, CacheStatus, error) {
 	if req.Trace {
-		return nil, CacheMiss, badRequestf("explain consumes the trace itself; drop the trace flag (use /v1/simulate with trace for raw spans)")
+		return nil, "", badRequestf("explain consumes the trace itself; drop the trace flag (use /v1/simulate with trace for raw spans)")
 	}
 	trials, err := s.trials(req.Trials)
 	if err != nil {
-		return nil, CacheMiss, err
+		return nil, "", err
 	}
 	if trials != 1 {
-		return nil, CacheMiss, badRequestf("explain requires trials = 1 (attribution is one replication's timeline)")
+		return nil, "", badRequestf("explain requires trials = 1 (attribution is one replication's timeline)")
 	}
 	cfg, err := req.config()
 	if err != nil {
-		return nil, CacheMiss, err
+		return nil, "", err
 	}
-	key, err := explainKey(cfg, trials)
-	if err != nil {
-		return nil, CacheMiss, err
-	}
-	if b, status, ok := s.cacheGet(key); ok {
-		return b, status, nil
-	}
-	resKey, err := resultKey(cfg, trials)
-	if err != nil {
-		return nil, CacheMiss, err
-	}
-
-	rec := trace.New(s.opts.MaxTraceEvents)
-	cfg.Trace = rec
-	if s.opts.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
-		defer cancel()
-	}
-	if err := s.gate.acquire(ctx); err != nil {
-		if err == ErrOverloaded {
-			s.met.addShed()
-		}
-		return nil, CacheMiss, err
-	}
-	defer s.gate.release()
-	s.met.addCacheMisses(1)
-	aggs, err := core.RunGridContext(ctx, []core.Config{cfg}, trials, 1)
-	if err != nil {
-		return nil, CacheMiss, err
-	}
-	res := aggs[0].Results[0]
-	result := core.NewResultJSON(aggs[0])
-	result.TraceTruncated = rec.Truncated()
-	if plain, err := json.Marshal(core.NewResultJSON(aggs[0])); err == nil {
-		s.cacheAdd(resKey, plain)
-	}
-
-	rep := explain.Build(rec, explain.Options{Makespan: res.TotalTime})
-	if rec.Truncated() {
-		s.met.addTraceTruncated()
-	} else if err := rep.Check(res.StallTime); err != nil {
-		// A conservation failure on an untruncated trace is a bug, not
-		// a client error; surface it as a 500 rather than serving an
-		// attribution that doesn't add up.
-		return nil, CacheMiss, err
-	}
-	body, err := json.Marshal(explainResponse{
-		ResultJSON:     result,
-		TraceTruncated: rec.Truncated(),
-		Explain:        rep,
-	})
-	if err != nil {
-		return nil, CacheMiss, err
-	}
-	// A truncated report is incomplete; keep it out of the cache so a
-	// redeploy with a larger MaxTraceEvents can answer properly.
-	if !rec.Truncated() {
-		s.cacheAdd(key, body)
-	}
-	return body, CacheMiss, nil
+	a, err := s.resolveOne(ctx, cfg, trials, explained)
+	return a.body, a.status, err
 }

@@ -22,6 +22,7 @@ const maxBodyBytes = 1 << 20
 //	POST /v1/simulate  one point, aggregated over trials → core.ResultJSON
 //	POST /v1/sweep     a batch of points → {"trials":N,"points":[...]}
 //	POST /v1/explain   one traced point → result + stall-attribution report
+//	POST /v1/optimize  a configuration search → optimum, knee and trace
 //	GET  /healthz      {"status":"ok"} or 503 {"status":"draining"}
 //	GET  /metrics      Prometheus text exposition
 //
@@ -30,10 +31,10 @@ const maxBodyBytes = 1 << 20
 // draining, 500 anything else.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/simulate", s.instrumented("simulate", s.handleSimulate))
+	mux.HandleFunc("POST /v1/simulate", s.instrumented("simulate", s.handlePoint(s.Simulate)))
 	mux.HandleFunc("POST /v1/sweep", s.instrumented("sweep", s.handleSweep))
 	mux.HandleFunc("POST /v1/optimize", s.instrumented("optimize", s.handleOptimize))
-	mux.HandleFunc("POST /v1/explain", s.instrumented("explain", s.handleExplain))
+	mux.HandleFunc("POST /v1/explain", s.instrumented("explain", s.handlePoint(s.Explain)))
 	mux.HandleFunc("GET /healthz", s.instrumented("healthz", s.handleHealthz))
 	mux.HandleFunc("GET /metrics", s.instrumented("metrics", s.handleMetrics))
 	return s.withRequestID(mux)
@@ -68,38 +69,21 @@ func (s *Service) instrumented(endpoint string, fn func(http.ResponseWriter, *ht
 	}
 }
 
-func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) int {
-	var req SimulateRequest
-	if code := decodeBody(w, r, &req); code != 0 {
-		return code
-	}
-	if req.Trace {
-		body, err := s.SimulateTraced(r.Context(), req)
+// handlePoint serves a one-point endpoint (simulate or explain) with
+// serve, answering X-Cache with the point's CacheStatus.
+func (s *Service) handlePoint(serve func(context.Context, SimulateRequest) ([]byte, CacheStatus, error)) func(http.ResponseWriter, *http.Request) int {
+	return func(w http.ResponseWriter, r *http.Request) int {
+		var req SimulateRequest
+		if code := decodeBody(w, r, &req); code != 0 {
+			return code
+		}
+		body, status, err := serve(r.Context(), req)
 		if err != nil {
 			return s.writeError(w, err)
 		}
-		w.Header().Set("X-Cache", "bypass")
+		w.Header().Set("X-Cache", string(status))
 		return writeJSON(w, http.StatusOK, body)
 	}
-	body, status, err := s.Simulate(r.Context(), req)
-	if err != nil {
-		return s.writeError(w, err)
-	}
-	w.Header().Set("X-Cache", string(status))
-	return writeJSON(w, http.StatusOK, body)
-}
-
-func (s *Service) handleExplain(w http.ResponseWriter, r *http.Request) int {
-	var req SimulateRequest
-	if code := decodeBody(w, r, &req); code != 0 {
-		return code
-	}
-	body, status, err := s.Explain(r.Context(), req)
-	if err != nil {
-		return s.writeError(w, err)
-	}
-	w.Header().Set("X-Cache", string(status))
-	return writeJSON(w, http.StatusOK, body)
 }
 
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) int {

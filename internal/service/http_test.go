@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -299,8 +300,12 @@ func TestRequestIDHeader(t *testing.T) {
 	}
 }
 
+// TestTracedSimulate: a traced request embeds the trace, answers
+// bypass, and does no cache lookup — so it counts as none of a hit, a
+// miss or a shared join — while still caching the plain body. The Go
+// API honours the flag the same way as the HTTP handler.
 func TestTracedSimulate(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	svc, ts := newTestServer(t, Options{})
 	p := fastPoint(7)
 	p.Trace = true
 	resp, body := postJSON(t, ts.URL+"/v1/simulate", p)
@@ -332,6 +337,9 @@ func TestTracedSimulate(t *testing.T) {
 	if tr.TraceTruncated {
 		t.Fatalf("small run truncated its trace")
 	}
+	if hits, misses, shared := svc.met.snapshot(); hits+misses+shared != 0 {
+		t.Fatalf("traced request counted: hits %d, misses %d, shared %d; want none", hits, misses, shared)
+	}
 
 	// The traced run populated the plain cache: the same point untraced
 	// is a hit with no trace in the body.
@@ -342,6 +350,16 @@ func TestTracedSimulate(t *testing.T) {
 	}
 	if bytes.Contains(body2, []byte("traceEvents")) {
 		t.Fatalf("plain cached body leaked trace bytes: %s", body2)
+	}
+
+	p.Trace = true
+	body3, status, err := svc.Simulate(context.Background(), p)
+	if err != nil || status != CacheBypass || !bytes.Contains(body3, []byte(`"traceEvents"`)) {
+		t.Fatalf("Service.Simulate with Trace: status %q, err %v, traced body %v; want bypass with a trace",
+			status, err, bytes.Contains(body3, []byte(`"traceEvents"`)))
+	}
+	if hits, misses, shared := svc.met.snapshot(); hits != 1 || misses+shared != 0 {
+		t.Fatalf("after one cacheable lookup: hits %d, misses %d, shared %d; want 1, 0, 0", hits, misses, shared)
 	}
 }
 

@@ -244,7 +244,7 @@ func (m *metrics) writePrometheus(w io.Writer, queueDepth, cacheEntries int, cac
 	fmt.Fprintln(w, "# HELP simd_cache_hits_total Simulation points served from the result cache.")
 	fmt.Fprintln(w, "# TYPE simd_cache_hits_total counter")
 	fmt.Fprintf(w, "simd_cache_hits_total %d\n", m.cacheHits)
-	fmt.Fprintln(w, "# HELP simd_cache_misses_total Simulation points that required an engine run.")
+	fmt.Fprintln(w, "# HELP simd_cache_misses_total Cacheable points that missed both tiers and led an engine run; traced requests bypass the cache and count in no cache counter.")
 	fmt.Fprintln(w, "# TYPE simd_cache_misses_total counter")
 	fmt.Fprintf(w, "simd_cache_misses_total %d\n", m.cacheMisses)
 	fmt.Fprintln(w, "# HELP simd_cache_entries Result-cache occupancy.")

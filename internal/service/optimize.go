@@ -214,45 +214,25 @@ func (s *Service) buildSpec(req OptimizeRequest) (optimize.Spec, error) {
 	return spec, nil
 }
 
-// evaluateCandidate serves one search candidate through the exact path
-// a /v1/simulate request takes — result cache, then singleflight, then
-// a detached gated engine run — so concurrent searches and plain
-// simulate traffic share every evaluation. Cached reports whether the
-// answer involved no fresh engine work for this caller (a cache hit or
-// a joined in-flight run).
+// evaluateCandidate serves one search candidate as a plain point
+// through resolve, the path a /v1/simulate request takes, so concurrent
+// searches and simulate traffic share every evaluation. Cached reports
+// whether the answer involved no fresh engine work for this caller (a
+// cache hit or a joined in-flight run).
 func (s *Service) evaluateCandidate(ctx context.Context, cfg core.Config, trials int) (optimize.Eval, error) {
-	key, err := resultKey(cfg, trials)
+	a, err := s.resolveOne(ctx, cfg, trials, plain)
 	if err != nil {
 		return optimize.Eval{}, err
 	}
-	var body []byte
-	cached := false
-	if b, _, ok := s.cacheGet(key); ok {
-		body, cached = b, true
-	} else {
-		c, leader := s.flights.lead(key)
-		if leader {
-			s.met.addCacheMisses(1)
-			s.spawn([]string{key}, []*call{c}, []core.Config{cfg}, trials)
-		} else {
-			s.met.addDedupShared(1)
-			cached = true
-		}
-		b, err := s.await(ctx, c)
-		if err != nil {
-			return optimize.Eval{}, err
-		}
-		body = b
-	}
 	var r core.ResultJSON
-	if err := json.Unmarshal(body, &r); err != nil {
+	if err := json.Unmarshal(a.body, &r); err != nil {
 		return optimize.Eval{}, err
 	}
 	ev := optimize.Eval{
 		Seconds: r.MeanSeconds,
 		CI95:    r.CI95Seconds,
 		Success: r.MeanSuccess,
-		Cached:  cached,
+		Cached:  a.status != CacheMiss,
 	}
 	var overlap float64
 	for _, t := range r.Results {

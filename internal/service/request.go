@@ -51,8 +51,8 @@ type SimulateRequest struct {
 	// Trace embeds a Chrome trace-event timeline of the run in the
 	// response. Traced requests bypass the result cache and singleflight
 	// (a cached or joined result has no trace to give), run their engine
-	// under the same admission gate, and require trials = 1. The plain
-	// result is still cached for later untraced requests.
+	// detached under the same admission gate, and require trials = 1.
+	// The plain result is still cached for later untraced requests.
 	Trace bool `json:"trace,omitempty"`
 }
 

@@ -2,7 +2,8 @@
 // front-end over core.RunGrid with the serving internals a daemon
 // needs to survive heavy repeated traffic.
 //
-// Serving path, in order:
+// Serving path: simulate, sweep, explain and every optimize candidate
+// go through one pipeline, resolve, over a batch of points. In order:
 //
 //  1. Result cache — a simulation result is a pure function of
 //     (core.Config, trials), so each point is keyed by the canonical
@@ -20,6 +21,10 @@
 //     letting goroutines pile up until the process collapses. Queued
 //     flights that outlive the request timeout fail with
 //     context.DeadlineExceeded (HTTP 503).
+//
+// Each point carries a variant: plain, explained (result + attribution
+// report, cached under its own key) or traced (result + Chrome trace),
+// which skips steps 1 and 2 — a cached or joined body has no trace.
 //
 // Shutdown: stop accepting requests (http.Server.Shutdown drains
 // handlers), then Drain waits for detached engine runs so the process
@@ -41,6 +46,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/diskcache"
+	"repro/internal/explain"
 	"repro/internal/trace"
 )
 
@@ -79,8 +85,8 @@ type Options struct {
 	// (default GOMAXPROCS).
 	Workers int
 	// MaxTraceEvents caps the events recorded for one traced simulate
-	// request (default 200_000, ~a few MiB of response); past the cap
-	// the trace truncates rather than the response growing unbounded.
+	// or explain run (default 200_000, ~a few MiB of response); past the
+	// cap the trace truncates rather than the response growing unbounded.
 	MaxTraceEvents int
 	// Logger, when non-nil, receives one structured line per HTTP
 	// request (see withRequestID). nil disables request logging;
@@ -175,16 +181,48 @@ const (
 	CacheMiss CacheStatus = "miss"
 	// CacheShared: joined an identical run another request started.
 	CacheShared CacheStatus = "shared"
+	// CacheBypass: a traced request, run privately with no lookup.
+	CacheBypass CacheStatus = "bypass"
 )
 
-// resultKey keys the cache and singleflight: simulation results depend
-// on the canonical config and the trial count, nothing else.
-func resultKey(cfg core.Config, trials int) (string, error) {
+// variant is what a point's run must produce beyond the plain result.
+type variant uint8
+
+const (
+	plain     variant = iota // the result body
+	traced                   // result + Chrome trace; never looked up, shared or cached
+	explained                // result + stall-attribution report
+)
+
+// point is one unit of work for resolve: a validated config, the key
+// its plain result body is cached under, and the variant asked for.
+type point struct {
+	cfg core.Config
+	key string
+	v   variant
+}
+
+// newPoint keys cfg: a result depends on the canonical config and the
+// trial count, nothing else, so the key is hash/trials.
+func newPoint(cfg core.Config, trials int, v variant) (point, error) {
 	h, err := cfg.Hash()
 	if err != nil {
-		return "", err
+		return point{}, err
 	}
-	return fmt.Sprintf("%s/%d", h, trials), nil
+	return point{cfg: cfg, key: fmt.Sprintf("%s/%d", h, trials), v: v}, nil
+}
+
+// flightKey is where the point's own body is shared and cached: the
+// plain key, its "/explain" sibling (an explain body must never be
+// served as a plain result), or "" for a traced point: neither.
+func (p point) flightKey() string {
+	switch p.v {
+	case traced:
+		return ""
+	case explained:
+		return p.key + "/explain"
+	}
+	return p.key
 }
 
 // cacheGet is the tiered lookup: memory, then disk. A disk hit is
@@ -237,34 +275,27 @@ func (s *Service) diskStats() diskcache.Stats {
 }
 
 // Simulate serves one point aggregated over its trials, returning the
-// marshaled core.ResultJSON body.
+// marshaled core.ResultJSON body. With Trace set the body also carries
+// the run's Chrome trace, from a private run (CacheBypass) that still
+// caches its plain body; a trace is one replication, so trials must be 1.
 func (s *Service) Simulate(ctx context.Context, req SimulateRequest) ([]byte, CacheStatus, error) {
 	trials, err := s.trials(req.Trials)
 	if err != nil {
 		return nil, "", err
 	}
+	v := plain
+	if req.Trace {
+		if trials != 1 {
+			return nil, "", badRequestf("trace requires trials = 1 (a trace is one replication's timeline)")
+		}
+		v = traced
+	}
 	cfg, err := req.config()
 	if err != nil {
 		return nil, "", err
 	}
-	key, err := resultKey(cfg, trials)
-	if err != nil {
-		return nil, "", err
-	}
-	if b, status, ok := s.cacheGet(key); ok {
-		return b, status, nil
-	}
-	c, leader := s.flights.lead(key)
-	status := CacheMiss
-	if leader {
-		s.met.addCacheMisses(1)
-		s.spawn([]string{key}, []*call{c}, []core.Config{cfg}, trials)
-	} else {
-		s.met.addDedupShared(1)
-		status = CacheShared
-	}
-	b, err := s.await(ctx, c)
-	return b, status, err
+	a, err := s.resolveOne(ctx, cfg, trials, v)
+	return a.body, a.status, err
 }
 
 // tracedResponse is the wire form of a traced simulate: the shared
@@ -277,75 +308,6 @@ type tracedResponse struct {
 	// omitempty): a clipped trace silently corrupts any attribution
 	// built on it, so clients must be able to see "false" and trust it.
 	TraceTruncated bool `json:"trace_truncated"`
-}
-
-// SimulateTraced serves one traced point. Tracing changes the serving
-// path deliberately:
-//
-//   - The result cache is bypassed on lookup — cached entries hold the
-//     plain result body, and a hit would mean no engine run and
-//     therefore no trace.
-//   - Singleflight is bypassed too: joining an in-flight untraced run
-//     would yield a result without a trace, and two traced requests
-//     cannot share one recorder. Each traced request runs its own
-//     engine, admitted through the same gate as everything else.
-//   - The plain result body (identical to an untraced run's — tracing
-//     is observation-only) is still added to the cache under the normal
-//     key, so the trace bytes never enter the cache.
-//
-// Trials > 1 is rejected: a trace records one replication's timeline.
-func (s *Service) SimulateTraced(ctx context.Context, req SimulateRequest) ([]byte, error) {
-	trials, err := s.trials(req.Trials)
-	if err != nil {
-		return nil, err
-	}
-	if trials != 1 {
-		return nil, badRequestf("trace requires trials = 1 (a trace is one replication's timeline)")
-	}
-	cfg, err := req.config()
-	if err != nil {
-		return nil, err
-	}
-	key, err := resultKey(cfg, trials)
-	if err != nil {
-		return nil, err
-	}
-	rec := trace.New(s.opts.MaxTraceEvents)
-	cfg.Trace = rec
-	if s.opts.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.RequestTimeout)
-		defer cancel()
-	}
-	if err := s.gate.acquire(ctx); err != nil {
-		if err == ErrOverloaded {
-			s.met.addShed()
-		}
-		return nil, err
-	}
-	defer s.gate.release()
-	s.met.addCacheMisses(1)
-	aggs, err := core.RunGridContext(ctx, []core.Config{cfg}, trials, 1)
-	if err != nil {
-		return nil, err
-	}
-	result := core.NewResultJSON(aggs[0])
-	if plain, err := json.Marshal(result); err == nil {
-		s.cacheAdd(key, plain)
-	}
-	if rec.Truncated() {
-		s.met.addTraceTruncated()
-	}
-	result.TraceTruncated = rec.Truncated()
-	var tb bytes.Buffer
-	if err := rec.WriteChrome(&tb); err != nil {
-		return nil, err
-	}
-	return json.Marshal(tracedResponse{
-		ResultJSON:     result,
-		Trace:          json.RawMessage(bytes.TrimRight(tb.Bytes(), "\n")),
-		TraceTruncated: rec.Truncated(),
-	})
 }
 
 // sweepResponse is the wire form of a sweep result: one shared-schema
@@ -371,17 +333,10 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) ([]byte, int, int
 	if err != nil {
 		return nil, 0, 0, err
 	}
-
-	// First pass: validate every point and compute every key before
-	// touching the cache or the flight table. Leading a flight obliges
-	// this request to spawn its execution — only execute retires a
-	// flight key, so an error return between lead and spawn would leave
-	// the key poisoned and every later request for it blocking on a
-	// flight nobody runs. All request-shaped error paths therefore
+	// Validate every point and compute every key before resolve touches
+	// the cache or the flight table: all request-shaped error paths
 	// happen here, where no flight exists yet.
-	n := len(req.Points)
-	cfgs := make([]core.Config, n)
-	keys := make([]string, n)
+	pts := make([]point, len(req.Points))
 	for i, p := range req.Points {
 		if p.Trials != 0 {
 			return nil, 0, 0, badRequestf("points[%d]: set trials at the sweep level, not per point", i)
@@ -393,60 +348,27 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) ([]byte, int, int
 		if err != nil {
 			return nil, 0, 0, badRequestf("points[%d]: %v", i, err)
 		}
-		key, err := resultKey(cfg, trials)
-		if err != nil {
+		if pts[i], err = newPoint(cfg, trials, plain); err != nil {
 			return nil, 0, 0, err
 		}
-		cfgs[i], keys[i] = cfg, key
 	}
-
-	// Second pass: cache lookups and flight registration. No return
-	// until every led flight has been handed to spawn.
-	out := make([]json.RawMessage, n)
-	waits := make([]*call, n)
-	var leadKeys []string
-	var leadCalls []*call
-	var leadCfgs []core.Config
-	var hits, misses, shared int64
-	for i := range req.Points {
-		if b, _, ok := s.cacheGet(keys[i]); ok {
-			out[i] = b
+	answers, err := s.resolve(ctx, pts, trials)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	out := make([]json.RawMessage, len(answers))
+	hits := 0
+	for i, a := range answers {
+		out[i] = a.body
+		if a.status == CacheHit || a.status == CacheHitDisk {
 			hits++
-			continue
 		}
-		c, leader := s.flights.lead(keys[i])
-		waits[i] = c
-		if leader {
-			misses++
-			leadKeys = append(leadKeys, keys[i])
-			leadCalls = append(leadCalls, c)
-			leadCfgs = append(leadCfgs, cfgs[i])
-		} else {
-			shared++
-		}
-	}
-	// Hits were already counted inside cacheGet, tier by tier.
-	s.met.addCacheMisses(misses)
-	s.met.addDedupShared(shared)
-
-	if len(leadCfgs) > 0 {
-		s.spawn(leadKeys, leadCalls, leadCfgs, trials)
-	}
-	for i, c := range waits {
-		if c == nil {
-			continue
-		}
-		b, err := s.await(ctx, c)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		out[i] = b
 	}
 	body, err := json.Marshal(sweepResponse{Trials: trials, Points: out})
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return body, int(hits), n, nil
+	return body, hits, len(out), nil
 }
 
 // trials resolves and bounds a requested trial count.
@@ -462,34 +384,117 @@ func (s *Service) trials(req int) (int, error) {
 	return req, nil
 }
 
+// answer is one resolved point: its body and how it was produced.
+type answer struct {
+	body   []byte
+	status CacheStatus
+}
+
+// job is one flight a request leads: the point and the call its
+// waiters block on.
+type job struct {
+	point
+	c *call
+}
+
+// resolve is the serving pipeline every entry point shares. Each point
+// is looked up in the cache tiers, then joins or leads a flight (a
+// traced point leads a private call); everything led goes to one spawn,
+// then every flight is awaited. Leading a flight obliges the request to
+// spawn it — only execute retires a flight key — so the loop has no
+// error path: an error between the first lead and the spawn would
+// poison keys for every later request. Callers validate first.
+func (s *Service) resolve(ctx context.Context, pts []point, trials int) ([]answer, error) {
+	out := make([]answer, len(pts))
+	waits := make([]*call, len(pts))
+	var jobs []job
+	var misses, shared int64
+	for i, p := range pts {
+		key := p.flightKey()
+		if key != "" {
+			if b, status, ok := s.cacheGet(key); ok {
+				out[i] = answer{b, status}
+				continue
+			}
+		}
+		c, leader := s.flights.lead(key)
+		waits[i] = c
+		switch {
+		case key == "":
+			out[i].status = CacheBypass
+		case leader:
+			misses++
+			out[i].status = CacheMiss
+		default:
+			shared++
+			out[i].status = CacheShared
+		}
+		if leader {
+			jobs = append(jobs, job{p, c})
+		}
+	}
+	// Hits were already counted inside cacheGet, tier by tier; a traced
+	// point counts in none of hits, misses and shared.
+	s.met.addCacheMisses(misses)
+	s.met.addDedupShared(shared)
+	if len(jobs) > 0 {
+		s.spawn(jobs, trials)
+	}
+	for i, c := range waits {
+		if c == nil {
+			continue
+		}
+		b, err := s.await(ctx, c)
+		if err != nil {
+			return nil, err
+		}
+		out[i].body = b
+	}
+	return out, nil
+}
+
+// resolveOne keys and resolves a single point.
+func (s *Service) resolveOne(ctx context.Context, cfg core.Config, trials int, v variant) (answer, error) {
+	p, err := newPoint(cfg, trials, v)
+	if err != nil {
+		return answer{}, err
+	}
+	answers, err := s.resolve(ctx, []point{p}, trials)
+	if err != nil {
+		return answer{}, err
+	}
+	return answers[0], nil
+}
+
 // spawn starts the detached execution of the flights this caller
 // leads. Detached means: its lifetime is bounded by the service's
 // RequestTimeout and tracked for Drain, not by any one requester's
 // context.
-func (s *Service) spawn(keys []string, calls []*call, cfgs []core.Config, trials int) {
+func (s *Service) spawn(jobs []job, trials int) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), s.opts.RequestTimeout)
 		defer cancel()
-		s.execute(ctx, keys, calls, cfgs, trials)
+		s.execute(ctx, jobs, trials)
 	}()
 }
 
-// execute admits one engine run for the batch, runs it, caches each
-// point's body, and finishes every call at most once — on success,
-// failure, or panic. The panic guard matters because execute runs in a
-// detached goroutine: without it a panicking engine would kill the
-// whole daemon, and the HTTP layer's recovery middleware (which only
-// shields handler goroutines) answers the leader's request but could
-// never reach the joiners parked on this flight. Recovering here fails
-// the entire batch promptly (leader and joiners all see a 500) and
-// retires every key, so the next request for any of them leads a
-// fresh flight instead of hanging on a poisoned one.
-func (s *Service) execute(ctx context.Context, keys []string, calls []*call, cfgs []core.Config, trials int) {
+// execute admits one engine run for the batch, with a recorder on each
+// traced or explained point, runs it, encodes each point's body, and
+// finishes every call at most once — on success, failure, or panic.
+// The panic guard matters because execute runs in a detached goroutine:
+// without it a panicking engine would kill the whole daemon, and the
+// HTTP layer's recovery middleware (which only shields handler
+// goroutines) answers the leader's request but could never reach the
+// joiners parked on this flight. Recovering here fails the entire batch
+// promptly (leader and joiners all see a 500) and retires every key, so
+// the next request for any of them leads a fresh flight instead of
+// hanging on a poisoned one.
+func (s *Service) execute(ctx context.Context, jobs []job, trials int) {
 	fail := func(err error) {
-		for i := range calls {
-			s.flights.finish(keys[i], calls[i], nil, err)
+		for _, j := range jobs {
+			s.flights.finish(j.flightKey(), j.c, nil, err)
 		}
 	}
 	defer func() {
@@ -509,18 +514,70 @@ func (s *Service) execute(ctx context.Context, keys []string, calls []*call, cfg
 		return
 	}
 	defer s.gate.release()
+	cfgs := make([]core.Config, len(jobs))
+	recs := make([]*trace.Recorder, len(jobs))
+	for i, j := range jobs {
+		cfgs[i] = j.cfg
+		if j.v != plain {
+			recs[i] = trace.New(s.opts.MaxTraceEvents)
+			cfgs[i].Trace = recs[i]
+		}
+	}
 	aggs, err := s.runGrid(ctx, cfgs, trials, s.opts.Workers)
 	if err != nil {
 		fail(err)
 		return
 	}
-	for i := range calls {
-		b, err := json.Marshal(core.NewResultJSON(aggs[i]))
-		if err == nil {
-			s.cacheAdd(keys[i], b)
-		}
-		s.flights.finish(keys[i], calls[i], b, err)
+	for i, j := range jobs {
+		b, err := s.encode(j.point, aggs[i], recs[i])
+		s.flights.finish(j.flightKey(), j.c, b, err)
 	}
+}
+
+// encode marshals one led point's body and fills the cache: the plain
+// result always (tracing is observation-only, so it is an untraced
+// run's body), an explained body unless its trace was truncated (a
+// redeploy with a larger MaxTraceEvents should answer properly), a
+// traced body never.
+func (s *Service) encode(p point, agg core.Aggregate, rec *trace.Recorder) ([]byte, error) {
+	result := core.NewResultJSON(agg)
+	body, err := json.Marshal(result)
+	if err != nil {
+		return nil, err
+	}
+	s.cacheAdd(p.key, body)
+	if p.v == plain {
+		return body, nil
+	}
+	truncated := rec.Truncated()
+	if truncated {
+		s.met.addTraceTruncated()
+	}
+	if p.v == traced {
+		var tb bytes.Buffer
+		if err := rec.WriteChrome(&tb); err != nil {
+			return nil, err
+		}
+		return json.Marshal(tracedResponse{
+			ResultJSON:     result,
+			Trace:          json.RawMessage(bytes.TrimRight(tb.Bytes(), "\n")),
+			TraceTruncated: truncated,
+		})
+	}
+	res := agg.Results[0]
+	rep := explain.Build(rec, explain.Options{Makespan: res.TotalTime})
+	if !truncated {
+		// A conservation failure on an untruncated trace is our bug:
+		// a 500, never an attribution that doesn't add up.
+		if err := rep.Check(res.StallTime); err != nil {
+			return nil, err
+		}
+	}
+	body, err = json.Marshal(explainResponse{ResultJSON: result, TraceTruncated: truncated, Explain: rep})
+	if err == nil && !truncated {
+		s.cacheAdd(p.flightKey(), body)
+	}
+	return body, err
 }
 
 // await blocks until the shared call completes or the caller's context

@@ -52,44 +52,55 @@ func TestSimulateCachedBytesIdentical(t *testing.T) {
 // requests against a single-slot service and asserts that they all
 // succeed while the engine ran at most a couple of times — without
 // dedup, a one-slot gate with a tiny queue would shed most of them.
+// Explains share their runs exactly like simulates.
 func TestSingleflightSharesOneRun(t *testing.T) {
-	svc := New(Options{MaxConcurrent: 1, MaxQueue: 1})
-	const clients = 32
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	bodies := make([][]byte, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bodies[i], _, errs[i] = svc.Simulate(context.Background(), fastPoint(5))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-	}
-	for i := 1; i < clients; i++ {
-		if !bytes.Equal(bodies[0], bodies[i]) {
-			t.Fatalf("client %d saw different bytes", i)
-		}
-	}
-	hits, misses, shared := svc.met.snapshot()
-	// Every client either hit the cache (arrived after the run
-	// finished), led a fresh run (a miss), or joined one in flight
-	// (shared) — the three statuses partition the traffic, so misses
-	// count engine runs exactly. At most a couple of distinct runs can
-	// have started between cache lookups and flight registration.
-	if hits+misses+shared != clients {
-		t.Fatalf("hits %d + misses %d + shared %d != %d clients", hits, misses, shared, clients)
-	}
-	if misses > 3 {
-		t.Fatalf("%d distinct engine runs for identical requests (shared %d); singleflight not deduplicating", misses, shared)
-	}
-	if err := svc.Drain(testCtx(t, 5*time.Second)); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		serve func(*Service, context.Context, SimulateRequest) ([]byte, CacheStatus, error)
+	}{
+		{"simulate", (*Service).Simulate},
+		{"explain", (*Service).Explain},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := New(Options{MaxConcurrent: 1, MaxQueue: 1})
+			const clients = 32
+			var wg sync.WaitGroup
+			errs := make([]error, clients)
+			bodies := make([][]byte, clients)
+			for i := 0; i < clients; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					bodies[i], _, errs[i] = tc.serve(svc, context.Background(), fastPoint(5))
+				}(i)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("client %d: %v", i, err)
+				}
+			}
+			for i := 1; i < clients; i++ {
+				if !bytes.Equal(bodies[0], bodies[i]) {
+					t.Fatalf("client %d saw different bytes", i)
+				}
+			}
+			hits, misses, shared := svc.met.snapshot()
+			// Every client either hit the cache (arrived after the run
+			// finished), led a fresh run (a miss), or joined one in flight
+			// (shared) — the three statuses partition the traffic, so misses
+			// count engine runs exactly. At most a couple of distinct runs can
+			// have started between cache lookups and flight registration.
+			if hits+misses+shared != clients {
+				t.Fatalf("hits %d + misses %d + shared %d != %d clients", hits, misses, shared, clients)
+			}
+			if misses > 3 {
+				t.Fatalf("%d distinct engine runs for identical requests (shared %d); singleflight not deduplicating", misses, shared)
+			}
+			if err := svc.Drain(testCtx(t, 5*time.Second)); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -313,23 +324,35 @@ func TestSweepInvalidPointDoesNotPoisonFlights(t *testing.T) {
 	}
 }
 
+// TestDrainWaitsForDetachedRuns: a requester that abandons its request
+// abandons only its wait. The detached run completes, lands in the
+// cache, and Drain waits for it — explains included.
 func TestDrainWaitsForDetachedRuns(t *testing.T) {
-	svc := New(Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // the requester abandons immediately…
-	_, _, err := svc.Simulate(ctx, fastPoint(31))
-	if err == nil {
-		t.Fatal("cancelled request did not error")
-	}
-	// …but the detached run completes and lands in the cache.
-	if err := svc.Drain(testCtx(t, 5*time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	_, status, err := svc.Simulate(context.Background(), fastPoint(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status != CacheHit {
-		t.Fatalf("status %q after drain, want hit: the abandoned run should have been cached", status)
+	for _, tc := range []struct {
+		name  string
+		serve func(*Service, context.Context, SimulateRequest) ([]byte, CacheStatus, error)
+	}{
+		{"simulate", (*Service).Simulate},
+		{"explain", (*Service).Explain},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := New(Options{})
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel() // the requester abandons immediately…
+			if _, _, err := tc.serve(svc, ctx, fastPoint(31)); err == nil {
+				t.Fatal("cancelled request did not error")
+			}
+			// …but the detached run completes and lands in the cache.
+			if err := svc.Drain(testCtx(t, 5*time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			_, status, err := tc.serve(svc, context.Background(), fastPoint(31))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if status != CacheHit {
+				t.Fatalf("status %q after drain, want hit: the abandoned run should have been cached", status)
+			}
+		})
 	}
 }

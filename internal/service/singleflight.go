@@ -26,8 +26,12 @@ type flightGroup struct {
 
 // lead returns the call for key, creating it if absent. The second
 // result reports whether the caller created it and therefore owns
-// running the work and finishing the call.
+// running the work and finishing the call. The empty key is never
+// registered: it asks for a private call nobody else can join.
 func (g *flightGroup) lead(key string) (*call, bool) {
+	if key == "" {
+		return &call{done: make(chan struct{})}, true
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.calls == nil {
@@ -43,13 +47,17 @@ func (g *flightGroup) lead(key string) (*call, bool) {
 
 // finish publishes the result, wakes every waiter, and retires the key
 // so later requests (a cache miss after eviction, or a failed run) can
-// start a fresh flight. Finishing an already-finished call is a no-op:
-// the first result stands.
+// start a fresh flight. Only c's own registration is retired, so
+// finishing a private call touches no other request's flight.
+// Finishing an already-finished call is a no-op: the first result
+// stands.
 func (g *flightGroup) finish(key string, c *call, val []byte, err error) {
 	c.once.Do(func() {
 		c.val, c.err = val, err
 		g.mu.Lock()
-		delete(g.calls, key)
+		if g.calls[key] == c {
+			delete(g.calls, key)
+		}
 		g.mu.Unlock()
 		close(c.done)
 	})
