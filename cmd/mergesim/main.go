@@ -22,107 +22,71 @@ import (
 	"repro/internal/core"
 	"repro/internal/disk"
 	"repro/internal/faults"
-	"repro/internal/layout"
-	"repro/internal/sim"
+	"repro/internal/service"
 	"repro/internal/table"
 	"repro/internal/trace"
 )
 
 func main() {
-	var (
-		k         = flag.Int("k", 25, "number of sorted runs")
-		d         = flag.Int("d", 5, "number of input disks")
-		n         = flag.Int("n", 1, "intra-run prefetch depth N")
-		blocks    = flag.Int("blocks", 1000, "blocks per run")
-		inter     = flag.Bool("inter", false, "enable inter-run prefetching (all disks one run)")
-		sync      = flag.Bool("sync", false, "synchronized prefetching (CPU waits for whole batch)")
-		cacheSize = flag.Int("cache", 0, "cache size in blocks (0 = natural size; -1 = unlimited)")
-		mergeMs   = flag.Float64("merge-ms", 0, "CPU time to merge one block, in ms (0 = infinitely fast)")
-		trials    = flag.Int("trials", 1, "independent trials")
-		workers   = flag.Int("workers", 0, "worker goroutines for multi-trial runs (0 = GOMAXPROCS, 1 = serial; results are identical)")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		greedy    = flag.Bool("greedy", false, "greedy cache admission instead of all-or-demand")
-		schedule  = flag.String("schedule", "fcfs", "disk queue discipline: fcfs, sstf, scan")
-		placement = flag.String("placement", "round-robin", "run placement: round-robin, clustered, striped")
-		verbose   = flag.Bool("v", false, "print per-disk statistics")
-		ganttMs   = flag.Float64("gantt-ms", 0, "render a disk-busy Gantt chart for the first N ms of trial 1")
-		jsonOut   = flag.Bool("json", false, "emit results as JSON instead of text")
-		reqLog    = flag.String("reqlog", "", "write a JSONL log of every disk request (trial 1) to this file")
-		traceOut  = flag.String("trace", "", "write an execution trace of trial 1 to this file")
-		traceFmt  = flag.String("trace-format", "chrome", "trace format: chrome (Perfetto/chrome://tracing JSON) or csv")
-		traceMax  = flag.Int("trace-events", 0, "cap on recorded trace events (0 = default 1M; past it the trace truncates)")
+	// Config flags bind onto the /v1/simulate request, so Config below
+	// is the same mapping simd applies to a request body.
+	var req service.SimulateRequest
+	flag.IntVar(&req.K, "k", 25, "number of sorted runs (0 = paper default)")
+	flag.IntVar(&req.D, "d", 5, "number of input disks (0 = paper default)")
+	flag.IntVar(&req.N, "n", 1, "intra-run prefetch depth N (0 = paper default)")
+	flag.IntVar(&req.BlocksPerRun, "blocks", 1000, "blocks per run (0 = paper default)")
+	flag.BoolVar(&req.InterRun, "inter", false, "enable inter-run prefetching (all disks one run)")
+	flag.BoolVar(&req.Synchronized, "sync", false, "synchronized prefetching (CPU waits for whole batch)")
+	flag.IntVar(&req.CacheBlocks, "cache", 0, "cache size in blocks (0 = natural size; -1 = unlimited)")
+	flag.Float64Var(&req.MergeMs, "merge-ms", 0, "CPU time to merge one block, in ms (0 = infinitely fast)")
+	flag.Uint64Var(&req.Seed, "seed", 1, "random seed (0 = paper default)")
+	flag.StringVar(&req.Schedule, "schedule", "fcfs", "disk queue discipline: fcfs, sstf, scan")
+	flag.StringVar(&req.Placement, "placement", "round-robin", "run placement: round-robin, clustered, striped")
 
-		faultDisk     = flag.Int("fault-disk", -1, "disk index to inject faults into (-1 = none)")
-		faultSlowdown = flag.Float64("fault-slowdown", 0, "fail-slow service-time multiplier for the faulted disk (>= 1)")
-		faultSlowAt   = flag.Float64("fault-slowdown-at-ms", 0, "simulated instant the slowdown phases in, in ms (0 = from the start)")
-		faultErrProb  = flag.Float64("fault-error-prob", 0, "per-request transient read-error probability on the faulted disk")
-		faultRetries  = flag.Int("fault-retries", 0, "re-read cap per request (0 = default 3); exhausting it aborts with an unreadable-disk error")
-		faultOutage   = flag.String("fault-outage", "", "outage windows for the faulted disk, \"start:end[,start:end]\" in ms")
+	var fault service.FaultRequest
+	flag.IntVar(&fault.Disk, "fault-disk", -1, "disk index to inject faults into (-1 = none)")
+	flag.Float64Var(&fault.Slowdown, "fault-slowdown", 0, "fail-slow service-time multiplier for the faulted disk (>= 1)")
+	flag.Float64Var(&fault.SlowdownAtMs, "fault-slowdown-at-ms", 0, "simulated instant the slowdown phases in, in ms (0 = from the start)")
+	flag.Float64Var(&fault.ReadErrorProb, "fault-error-prob", 0, "per-request transient read-error probability on the faulted disk")
+	flag.IntVar(&fault.MaxRetries, "fault-retries", 0, "re-read cap per request (0 = default 3); exhausting it aborts with an unreadable-disk error")
+
+	var (
+		greedy      = flag.Bool("greedy", false, "greedy cache admission instead of all-or-demand")
+		faultOutage = flag.String("fault-outage", "", "outage windows for the faulted disk, \"start:end[,start:end]\" in ms")
+		trials      = flag.Int("trials", 1, "independent trials")
+		workers     = flag.Int("workers", 0, "worker goroutines for multi-trial runs (0 = GOMAXPROCS, 1 = serial; results are identical)")
+		verbose     = flag.Bool("v", false, "print per-disk statistics")
+		ganttMs     = flag.Float64("gantt-ms", 0, "render a disk-busy Gantt chart for the first N ms of trial 1")
+		jsonOut     = flag.Bool("json", false, "emit results as JSON instead of text")
+		reqLog      = flag.String("reqlog", "", "write a JSONL log of every disk request (trial 1) to this file")
+		traceOut    = flag.String("trace", "", "write an execution trace of trial 1 to this file")
+		traceFmt    = flag.String("trace-format", "chrome", "trace format: chrome (Perfetto/chrome://tracing JSON) or csv")
+		traceMax    = flag.Int("trace-events", 0, "cap on recorded trace events (0 = default 1M; past it the trace truncates)")
 	)
 	flag.Parse()
 
-	cfg := core.Default()
-	cfg.K = *k
-	cfg.D = *d
-	cfg.N = *n
-	cfg.BlocksPerRun = *blocks
-	cfg.InterRun = *inter
-	cfg.Synchronized = *sync
-	cfg.MergeTimePerBlock = sim.Ms(*mergeMs)
-	cfg.Seed = *seed
-	switch *cacheSize {
-	case 0:
-		cfg.CacheBlocks = cfg.DefaultCache()
-	case -1:
-		cfg.CacheBlocks = cache.Unlimited
-	default:
-		cfg.CacheBlocks = *cacheSize
-	}
+	// -greedy and -fault-outage fill request fields after parsing, so
+	// -greedy=false keeps all-or-demand and -h shows their plain types.
 	if *greedy {
-		cfg.Admission = cache.Greedy
+		req.Admission = "greedy"
 	}
-	switch *schedule {
-	case "fcfs":
-		cfg.Disk.Discipline = disk.FCFS
-	case "sstf":
-		cfg.Disk.Discipline = disk.SSTF
-	case "scan":
-		cfg.Disk.Discipline = disk.SCAN
-	default:
-		fatal(fmt.Errorf("unknown discipline %q", *schedule))
-	}
-	switch *placement {
-	case "round-robin":
-		cfg.Placement = layout.RoundRobin
-	case "clustered":
-		cfg.Placement = layout.Clustered
-	case "striped":
-		cfg.Placement = layout.Striped
-	default:
-		fatal(fmt.Errorf("unknown placement %q", *placement))
-	}
-
-	if *faultDisk >= 0 {
-		spec := faults.DiskSpec{
-			Disk:          *faultDisk,
-			Slowdown:      *faultSlowdown,
-			SlowdownAtMs:  *faultSlowAt,
-			ReadErrorProb: *faultErrProb,
-			MaxRetries:    *faultRetries,
-		}
+	if fault.Disk >= 0 {
 		var err error
-		if spec.Outages, err = parseOutages(*faultOutage); err != nil {
+		if fault.Outages, err = parseOutages(*faultOutage); err != nil {
 			fatal(err)
 		}
-		cfg.Faults = &faults.Spec{Disks: []faults.DiskSpec{spec}}
-	} else if *faultSlowdown != 0 || *faultErrProb != 0 || *faultOutage != "" {
+		req.Faults = []service.FaultRequest{fault}
+	} else if fault.Slowdown != 0 || fault.ReadErrorProb != 0 || *faultOutage != "" {
 		fatal(fmt.Errorf("fault flags need -fault-disk to name the target disk"))
+	}
+	cfg, err := req.Config()
+	if err != nil {
+		fatal(err)
 	}
 
 	var logFile *os.File
 	var logBuf *bufio.Writer
 	if *reqLog != "" {
-		var err error
 		logFile, err = os.Create(*reqLog)
 		if err != nil {
 			fatal(err)

@@ -21,33 +21,33 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/explain"
-	"repro/internal/layout"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 func main() {
+	// Config flags bind onto the /v1/simulate request, as mergesim's do;
+	// they are read only when simulating, never with -trace.
+	var req service.SimulateRequest
+	flag.IntVar(&req.K, "k", 25, "number of sorted runs (0 = paper default)")
+	flag.IntVar(&req.D, "d", 5, "number of input disks (0 = paper default)")
+	flag.IntVar(&req.N, "n", 1, "intra-run prefetch depth N (0 = paper default)")
+	flag.IntVar(&req.BlocksPerRun, "blocks", 1000, "blocks per run (0 = paper default)")
+	flag.BoolVar(&req.InterRun, "inter", false, "enable inter-run prefetching")
+	flag.BoolVar(&req.Synchronized, "sync", false, "synchronized prefetching")
+	flag.IntVar(&req.CacheBlocks, "cache", 0, "cache size in blocks (0 = natural size; -1 = unlimited)")
+	flag.Float64Var(&req.MergeMs, "merge-ms", 0, "CPU time to merge one block, in ms")
+	flag.Uint64Var(&req.Seed, "seed", 1, "random seed (0 = paper default)")
+	flag.StringVar(&req.Schedule, "schedule", "fcfs", "disk queue discipline: fcfs, sstf, scan")
+	flag.StringVar(&req.Placement, "placement", "round-robin", "run placement: round-robin, clustered, striped")
 	var (
 		traceIn  = flag.String("trace", "", "read a CSV trace export instead of simulating (\"-\" = stdin)")
 		makespan = flag.Float64("makespan-ms", 0, "with -trace: the run's makespan in ms (0 = infer from the last span)")
-
-		k         = flag.Int("k", 25, "number of sorted runs")
-		d         = flag.Int("d", 5, "number of input disks")
-		n         = flag.Int("n", 1, "intra-run prefetch depth N")
-		blocks    = flag.Int("blocks", 1000, "blocks per run")
-		inter     = flag.Bool("inter", false, "enable inter-run prefetching")
-		sync      = flag.Bool("sync", false, "synchronized prefetching")
-		cacheSize = flag.Int("cache", 0, "cache size in blocks (0 = natural size; -1 = unlimited)")
-		mergeMs   = flag.Float64("merge-ms", 0, "CPU time to merge one block, in ms")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		greedy    = flag.Bool("greedy", false, "greedy cache admission")
-		schedule  = flag.String("schedule", "fcfs", "disk queue discipline: fcfs, sstf, scan")
-		placement = flag.String("placement", "round-robin", "run placement: round-robin, clustered, striped")
-		traceMax  = flag.Int("trace-events", 0, "cap on recorded trace events (0 = default 1M)")
+		greedy   = flag.Bool("greedy", false, "greedy cache admission")
+		traceMax = flag.Int("trace-events", 0, "cap on recorded trace events (0 = default 1M)")
 
 		jsonOut = flag.Bool("json", false, "emit the report as JSON instead of text")
 		svgOut  = flag.String("svg", "", "also write an SVG timeline to this file")
@@ -69,8 +69,10 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		cfg, err := buildConfig(*k, *d, *n, *blocks, *inter, *sync, *cacheSize,
-			*mergeMs, *seed, *greedy, *schedule, *placement)
+		if *greedy {
+			req.Admission = "greedy"
+		}
+		cfg, err := req.Config()
 		if err != nil {
 			fatal(err)
 		}
@@ -139,53 +141,6 @@ func readTrace(path string) (*trace.Recorder, error) {
 		r = f
 	}
 	return trace.ReadCSV(r)
-}
-
-// buildConfig mirrors mergesim's flag-to-config mapping for the subset
-// traceq accepts.
-func buildConfig(k, d, n, blocks int, inter, sync bool, cacheSize int,
-	mergeMs float64, seed uint64, greedy bool, schedule, placement string) (core.Config, error) {
-	cfg := core.Default()
-	cfg.K = k
-	cfg.D = d
-	cfg.N = n
-	cfg.BlocksPerRun = blocks
-	cfg.InterRun = inter
-	cfg.Synchronized = sync
-	cfg.MergeTimePerBlock = sim.Ms(mergeMs)
-	cfg.Seed = seed
-	switch cacheSize {
-	case 0:
-		cfg.CacheBlocks = cfg.DefaultCache()
-	case -1:
-		cfg.CacheBlocks = cache.Unlimited
-	default:
-		cfg.CacheBlocks = cacheSize
-	}
-	if greedy {
-		cfg.Admission = cache.Greedy
-	}
-	switch schedule {
-	case "fcfs":
-		cfg.Disk.Discipline = disk.FCFS
-	case "sstf":
-		cfg.Disk.Discipline = disk.SSTF
-	case "scan":
-		cfg.Disk.Discipline = disk.SCAN
-	default:
-		return cfg, fmt.Errorf("unknown discipline %q", schedule)
-	}
-	switch placement {
-	case "round-robin":
-		cfg.Placement = layout.RoundRobin
-	case "clustered":
-		cfg.Placement = layout.Clustered
-	case "striped":
-		cfg.Placement = layout.Striped
-	default:
-		return cfg, fmt.Errorf("unknown placement %q", placement)
-	}
-	return cfg, nil
 }
 
 func fatal(err error) {

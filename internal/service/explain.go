@@ -42,7 +42,7 @@ func (s *Service) Explain(ctx context.Context, req SimulateRequest) ([]byte, Cac
 	if trials != 1 {
 		return nil, "", badRequestf("explain requires trials = 1 (attribution is one replication's timeline)")
 	}
-	cfg, err := req.config()
+	cfg, err := req.Config()
 	if err != nil {
 		return nil, "", err
 	}

@@ -32,7 +32,7 @@ func FuzzDecodeSimulateRequest(f *testing.F) {
 		if code := decodeBody(rec, hr, &req); code != 0 {
 			return // rejected bodies are fine; not panicking is the contract
 		}
-		cfg, err := req.config()
+		cfg, err := req.Config()
 		if err != nil {
 			return
 		}

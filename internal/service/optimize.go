@@ -132,7 +132,7 @@ func (s *Service) buildSpec(req OptimizeRequest) (optimize.Spec, error) {
 	if tmpl.Trace {
 		return optimize.Spec{}, badRequestf("template.trace is not allowed; a search has no single timeline to trace")
 	}
-	cfg, err := tmpl.config()
+	cfg, err := tmpl.Config()
 	if err != nil {
 		return optimize.Spec{}, err
 	}

@@ -14,8 +14,9 @@ import (
 // SimulateRequest is the wire form of one simulation point. Zero-value
 // fields take the paper's defaults (k=25, D=5, N=1, 1000 blocks/run,
 // natural cache, seed 1), so `{}` is a valid request for the paper's
-// baseline. Enum fields are named strings — the same names the
-// mergesim flags accept — and unknown names are rejected with a 400.
+// baseline. Enum fields are named strings, and unknown names are
+// rejected with a 400. mergesim and traceq bind their config flags onto
+// these fields, so a flag value and a wire value are one name.
 type SimulateRequest struct {
 	K            int   `json:"k,omitempty"`
 	D            int   `json:"d,omitempty"`
@@ -92,12 +93,14 @@ func badRequestf(format string, args ...any) error {
 	return &requestError{msg: fmt.Sprintf(format, args...)}
 }
 
-// config materializes the request into a validated core.Config. The
-// boundary is stricter than core.Config.Validate in one place: k < 2
-// is rejected here, because a single-run "merge" is only meaningful
-// when replaying a real sort's final pass, never as a service request
-// (core keeps accepting K = 1 for that replay path).
-func (r SimulateRequest) config() (core.Config, error) {
+// Config materializes the request into a validated core.Config. It is
+// the one mapping from named settings to a core.Config: simd's
+// endpoints, optimize's template, and mergesim's and traceq's flags all
+// go through it. The boundary is stricter than core.Config.Validate in
+// one place: k < 2 is rejected here, because a single-run "merge" is
+// only meaningful when replaying a real sort's final pass, never as a
+// request (core keeps accepting K = 1 for that replay path).
+func (r SimulateRequest) Config() (core.Config, error) {
 	cfg := core.Default()
 	if r.K != 0 {
 		if r.K < 2 {

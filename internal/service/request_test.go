@@ -11,7 +11,7 @@ import (
 )
 
 func TestRequestDefaultsMatchPaperBaseline(t *testing.T) {
-	cfg, err := SimulateRequest{}.config()
+	cfg, err := SimulateRequest{}.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestRequestEnumNames(t *testing.T) {
 		RunPolicy: "least-buffered",
 		Disk:      "modern",
 		N:         4,
-	}.config()
+	}.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +75,9 @@ func TestRequestRejections(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.req.config()
+			_, err := tc.req.Config()
 			if err == nil {
-				t.Fatal("config() accepted an invalid request")
+				t.Fatal("Config() accepted an invalid request")
 			}
 			var reqErr *requestError
 			if !errors.As(err, &reqErr) {

@@ -290,7 +290,7 @@ func (s *Service) Simulate(ctx context.Context, req SimulateRequest) ([]byte, Ca
 		}
 		v = traced
 	}
-	cfg, err := req.config()
+	cfg, err := req.Config()
 	if err != nil {
 		return nil, "", err
 	}
@@ -344,7 +344,7 @@ func (s *Service) Sweep(ctx context.Context, req SweepRequest) ([]byte, int, int
 		if p.Trace {
 			return nil, 0, 0, badRequestf("points[%d]: trace is not supported in sweeps; use /v1/simulate", i)
 		}
-		cfg, err := p.config()
+		cfg, err := p.Config()
 		if err != nil {
 			return nil, 0, 0, badRequestf("points[%d]: %v", i, err)
 		}
