@@ -58,14 +58,19 @@ bench:
 # Performance ledger: run the figure benches twice each (they
 # regenerate whole panels; 2x keeps the run affordable while averaging
 # out single-iteration jitter) and the micro-benches at full precision,
-# then parse everything into BENCH_4.json. Commit the file so
+# then parse everything into the next numbered ledger, BENCH_<N+1>.json,
+# where BENCH_<N>.json is the newest one. Commit the file so
 # optimization PRs carry their numbers; the compare step prints the
-# delta against the previous ledger and flags >10% regressions.
+# delta against BENCH_<N>.json and flags >10% regressions. N is the
+# numeric maximum (sort -n): make's sort is lexical and would put
+# BENCH_10 before BENCH_9.
+BENCH_LAST := $(shell printf '%s\n' $(patsubst BENCH_%.json,%,$(wildcard BENCH_*.json)) | sort -n | tail -1)
+BENCH_NEXT := $(shell expr $(BENCH_LAST) + 1)
 bench-json:
 	{ go test -run '^$$' -bench '^Benchmark(Fig|All|Ablation|Ext|Anchor|Urn|TRMarkov)' -benchtime=2x . ; \
 	  go test -run '^$$' -bench '^Benchmark(Kernel|Disk|Cache|LoserTree|Merge|Service|Optimize|Explain)' -benchmem . ; } \
-	| go run ./cmd/benchjson -out BENCH_4.json
-	go run ./cmd/benchjson -compare BENCH_3.json BENCH_4.json
+	| go run ./cmd/benchjson -out BENCH_$(BENCH_NEXT).json
+	go run ./cmd/benchjson -compare BENCH_$(BENCH_LAST).json BENCH_$(BENCH_NEXT).json
 
 # Run the simulation daemon on :8080 (see cmd/simd -h for flags).
 serve:
