@@ -9,18 +9,16 @@
 //
 // Usage:
 //
-//	detlint [-C dir] [-v] [-fix | -diff] [-baseline file | -write-baseline file] [packages...]
+//	detlint [-C dir] [-v] [-list] [packages...]
 //
 // With no package arguments it checks the default scope: every
 // repro/internal/... package. Findings print as
 // file:line:col: analyzer: message, and the exit status is 1 when any
-// finding survives //detlint:allow suppression and the baseline.
+// finding survives //detlint:allow suppression.
 //
-//	-fix             apply each finding's suggested fix in place
-//	-diff            print the suggested fixes as a unified diff instead
-//	-baseline file   drop findings accepted by a committed baseline
-//	-write-baseline  regenerate the baseline from the current findings
-//	-v               report per-analyzer wall time
+//	-C dir  resolve packages from dir (the module root)
+//	-v      report per-analyzer wall time
+//	-list   list the analyzers and exit
 package main
 
 import (
@@ -44,12 +42,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := fs.String("C", ".", "directory to resolve packages from (the module root)")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	verbose := fs.Bool("v", false, "report per-analyzer wall time")
-	fix := fs.Bool("fix", false, "apply suggested fixes in place")
-	diff := fs.Bool("diff", false, "print suggested fixes as a unified diff (no files touched)")
-	baselinePath := fs.String("baseline", "", "baseline file of accepted findings to subtract")
-	writeBaseline := fs.String("write-baseline", "", "write the current findings as a baseline to this file and exit")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: detlint [-C dir] [-v] [-fix | -diff] [-baseline file] [packages...]\n\nAnalyzers:\n")
+		fmt.Fprintf(stderr, "usage: detlint [-C dir] [-v] [-list] [packages...]\n\nAnalyzers:\n")
 		for _, a := range analyzers.All() {
 			fmt.Fprintf(stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -66,10 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *fix && *diff {
-		fmt.Fprintln(stderr, "detlint: -fix and -diff are mutually exclusive")
-		return 2
-	}
 
 	patterns := fs.Args()
 	defaultScope := len(patterns) == 0
@@ -77,9 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"repro/internal/..."}
 	}
 
-	// One invocation = one view of the tree: drop stale module state
-	// (stdlib stays cached) so reruns after -fix see the rewrite.
-	lint.ResetLoadCache()
 	pkgs, err := lint.Load(*dir, patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, "detlint:", err)
@@ -108,90 +95,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	modRoot := ""
-	if len(pkgs) > 0 {
-		modRoot = pkgs[0].ModRoot
-	}
-
-	if *writeBaseline != "" {
-		b := lint.BaselineFromDiags(diags, modRoot)
-		if err := os.WriteFile(*writeBaseline, []byte(lint.FormatBaseline(b)), 0o644); err != nil {
-			fmt.Fprintln(stderr, "detlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "detlint: wrote %d baseline entr%s to %s\n", len(b.Counts), plural(len(b.Counts), "y", "ies"), *writeBaseline)
-		return 0
-	}
-
-	if *baselinePath != "" {
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "detlint:", err)
-			return 2
-		}
-		b, err := lint.ParseBaseline(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(stderr, "detlint:", err)
-			return 2
-		}
-		fresh, accepted := lint.FilterBaseline(diags, b, modRoot)
-		if *verbose && len(accepted) > 0 {
-			fmt.Fprintf(stderr, "detlint: %d finding(s) accepted by baseline %s\n", len(accepted), *baselinePath)
-		}
-		diags = fresh
-	}
-
-	if *fix || *diff {
-		fset := lint.SharedFset()
-		edits := lint.CollectEdits(fset, diags)
-		if *diff {
-			d, err := lint.DiffFixes(edits)
-			if err != nil {
-				fmt.Fprintln(stderr, "detlint:", err)
-				return 2
-			}
-			fmt.Fprint(stdout, d)
-			return exitFor(len(diags))
-		}
-		files, err := lint.WriteFixes(edits)
-		if err != nil {
-			fmt.Fprintln(stderr, "detlint:", err)
-			return 2
-		}
-		if len(files) > 0 {
-			fmt.Fprintf(stderr, "detlint: applied %d fix(es) in %s\n", len(edits), strings.Join(files, ", "))
-		}
-		// Report only what no fix resolved; the caller reruns to verify
-		// the fixed tree is clean.
-		var unfixed []lint.Diagnostic
-		for _, d := range diags {
-			if len(d.SuggestedFixes) == 0 {
-				unfixed = append(unfixed, d)
-			}
-		}
-		diags = unfixed
-	}
-
 	for _, d := range diags {
 		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "detlint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
-	}
-	return exitFor(len(diags))
-}
-
-func exitFor(findings int) int {
-	if findings > 0 {
 		return 1
 	}
 	return 0
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }

@@ -21,7 +21,7 @@ func TestEventEngineSteadyStateZeroAlloc(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	e, err := newEngine(cfg)
+	e, err := newEngine(cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

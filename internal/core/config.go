@@ -132,20 +132,14 @@ type Config struct {
 	// matching the paper's separate-write-disks assumption).
 	Write WriteConfig
 
-	// Workload chooses the depletion model; nil means the Kwan–Baer
-	// uniform model seeded from Seed. A Model is stateful, so a non-nil
-	// Workload is only valid for single-trial runs: RunTrials/RunGrid
-	// refuse it with trials > 1 rather than sharing one model across
-	// replications. Multi-trial runs use WorkloadFactory.
-	Workload workload.Model
-
-	// WorkloadFactory, when non-nil, builds a fresh depletion model for
-	// each replication; trial is the 0-based replication index. It takes
-	// precedence over Workload and is the only way to run a caller-
-	// supplied model across multiple trials. Replications may run on
-	// parallel goroutines, so the factory must be safe for concurrent
-	// calls and must derive any randomness from the trial index, never
-	// from shared mutable state.
+	// WorkloadFactory chooses the depletion model: when non-nil it
+	// builds a fresh model for each replication, where trial is the
+	// 0-based replication index (Run is trial 0); nil means the
+	// Kwan–Baer uniform model seeded from Seed. A Model is stateful, so
+	// every run gets its own. Replications may run on parallel
+	// goroutines, so the factory must be safe for concurrent calls and
+	// must derive any randomness from the trial index, never from shared
+	// mutable state.
 	WorkloadFactory func(trial int) workload.Model
 
 	Seed uint64

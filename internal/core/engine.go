@@ -80,12 +80,19 @@ type engine struct {
 	finish         sim.Time
 }
 
-// Run simulates one merge under cfg and returns its Result.
+// Run simulates one merge under cfg and returns its Result: a single
+// replication, trial 0 of cfg.WorkloadFactory.
 func Run(cfg Config) (Result, error) {
+	return run(cfg, 0)
+}
+
+// run simulates replication trial of cfg. The caller has already
+// offset cfg.Seed; trial only selects the WorkloadFactory's model.
+func run(cfg Config, trial int) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	e, err := newEngine(cfg)
+	e, err := newEngine(cfg, trial)
 	if err != nil {
 		return Result{}, err
 	}
@@ -135,7 +142,7 @@ func RunTrials(cfg Config, trials int) (Aggregate, error) {
 	return aggs[0], nil
 }
 
-func newEngine(cfg Config) (*engine, error) {
+func newEngine(cfg Config, trial int) (*engine, error) {
 	k := sim.New()
 	lay, err := layout.NewLengths(cfg.Placement, cfg.runLengths(), cfg.D)
 	if err != nil {
@@ -170,12 +177,9 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.AdaptiveN {
 		e.curN = 1 // start conservatively; successes raise the depth
 	}
-	e.model = cfg.Workload
-	if e.model == nil && cfg.WorkloadFactory != nil {
-		// Direct Run calls are a single replication: trial 0.
-		e.model = cfg.WorkloadFactory(0)
-	}
-	if e.model == nil {
+	if cfg.WorkloadFactory != nil {
+		e.model = cfg.WorkloadFactory(trial)
+	} else {
 		e.model = &workload.Uniform{R: root.Split("depletion")}
 	}
 	for r := 0; r < cfg.K; r++ {

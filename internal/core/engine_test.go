@@ -335,7 +335,7 @@ func TestSequenceWorkloadRoundRobinDepletion(t *testing.T) {
 			seqRuns = append(seqRuns, r)
 		}
 	}
-	cfg.Workload = &workload.Sequence{Runs: seqRuns}
+	cfg.WorkloadFactory = func(int) workload.Model { return &workload.Sequence{Runs: seqRuns} }
 	res := mustRun(t, cfg)
 	if res.MergedBlocks != int64(cfg.K*cfg.BlocksPerRun) {
 		t.Fatalf("merged = %d", res.MergedBlocks)
@@ -613,7 +613,7 @@ func TestRunRejectsKernelFailure(t *testing.T) {
 			trace = append(trace, r)
 		}
 	}
-	cfg.Workload = &workload.Sequence{Runs: trace}
+	cfg.WorkloadFactory = func(int) workload.Model { return &workload.Sequence{Runs: trace} }
 	res := mustRun(t, cfg)
 	if res.MergedBlocks != int64(cfg.K*cfg.BlocksPerRun) {
 		t.Fatalf("merged = %d", res.MergedBlocks)

@@ -17,10 +17,11 @@ import (
 // Determinism: each job's seed derives from its configuration and trial
 // index alone, and results are aggregated in (point, trial) order, so
 // the outcome is byte-identical to a serial sweep regardless of worker
-// count. Configurations carrying a Trace recorder or an OnRequest
-// observer force the whole grid serial: the callback and the recorder
-// are not synchronized. A recorder observes one run, so a traced
-// configuration is refused with trials > 1, like a stateful Workload.
+// count. Each job builds its own depletion model from the
+// configuration's WorkloadFactory. Configurations carrying a Trace
+// recorder or an OnRequest observer force the whole grid serial: the
+// callback and the recorder are not synchronized. A recorder observes
+// one run, so a traced configuration is refused with trials > 1.
 func RunGrid(cfgs []Config, trials, workers int) ([]Aggregate, error) {
 	return RunGridContext(context.Background(), cfgs, trials, workers)
 }
@@ -35,11 +36,6 @@ func RunGridContext(ctx context.Context, cfgs []Config, trials, workers int) ([]
 		return nil, fmt.Errorf("core: trials = %d", trials)
 	}
 	for i, cfg := range cfgs {
-		if trials > 1 && cfg.Workload != nil && cfg.WorkloadFactory == nil {
-			return nil, fmt.Errorf(
-				"core: config %d: Workload is a stateful model and cannot be shared across %d trials; set WorkloadFactory instead",
-				i, trials)
-		}
 		if trials > 1 && cfg.Trace != nil {
 			return nil, fmt.Errorf(
 				"core: config %d: a Trace recorder observes one run and cannot be shared across %d trials",
@@ -56,10 +52,7 @@ func RunGridContext(ctx context.Context, cfgs []Config, trials, workers int) ([]
 		point, trial := j/trials, j%trials
 		c := cfgs[point]
 		c.Seed += uint64(trial)
-		if c.WorkloadFactory != nil {
-			c.Workload = c.WorkloadFactory(trial)
-		}
-		results[j], errs[j] = Run(c)
+		results[j], errs[j] = run(c, trial)
 	}); err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -60,24 +59,6 @@ func TestRunGridKeepsPointOrder(t *testing.T) {
 				t.Fatalf("aggregate %d trial %d seed = %d, want %d", i, trial, res.Config.Seed, want)
 			}
 		}
-	}
-}
-
-func TestRunGridRejectsSharedWorkload(t *testing.T) {
-	cfg := small()
-	cfg.Workload = &workload.Sequence{Runs: []int{0, 1, 2}}
-	_, err := RunGrid([]Config{cfg}, 2, 1)
-	if err == nil {
-		t.Fatal("stateful Workload accepted for multi-trial run")
-	}
-	if !strings.Contains(err.Error(), "WorkloadFactory") {
-		t.Fatalf("error does not point at WorkloadFactory: %v", err)
-	}
-	// The single-trial path still accepts a plain Workload.
-	cfg = small()
-	cfg.Workload = uniformSequence(cfg.K, cfg.BlocksPerRun)
-	if _, err := RunGrid([]Config{cfg}, 1, 1); err != nil {
-		t.Fatal(err)
 	}
 }
 

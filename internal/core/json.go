@@ -188,12 +188,10 @@ type canonicalFault struct {
 // configuration's value fields: equal configurations produce identical
 // bytes, so the encoding (and its Hash) can key a result cache.
 // Configurations carrying runtime callbacks or caller-supplied workload
-// models are refused — their results are not a pure function of the
+// factories are refused — their results are not a pure function of the
 // encodable state.
 func (c Config) CanonicalJSON() ([]byte, error) {
 	switch {
-	case c.Workload != nil:
-		return nil, fmt.Errorf("core: config with a caller-supplied Workload has no canonical encoding")
 	case c.WorkloadFactory != nil:
 		return nil, fmt.Errorf("core: config with a WorkloadFactory has no canonical encoding")
 	case c.OnRequest != nil:

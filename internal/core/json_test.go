@@ -76,7 +76,6 @@ func TestHashStable(t *testing.T) {
 
 func TestCanonicalJSONRefusesCallbacks(t *testing.T) {
 	cases := map[string]func(*Config){
-		"Workload":        func(c *Config) { c.Workload = &workload.Sequence{} },
 		"WorkloadFactory": func(c *Config) { c.WorkloadFactory = func(int) workload.Model { return &workload.Sequence{} } },
 	}
 	for name, set := range cases {

@@ -32,7 +32,7 @@ func TestOracleRunUsesLookahead(t *testing.T) {
 		cfg.InterRun = true
 		cfg.CacheBlocks = 120
 		cfg.RunPolicy = pol
-		cfg.Workload = &workload.Sequence{Runs: append([]int(nil), trace...)}
+		cfg.WorkloadFactory = func(int) workload.Model { return &workload.Sequence{Runs: trace} }
 		return mustRun(t, cfg)
 	}
 	oracle := run(OracleRun)

@@ -78,7 +78,7 @@ func ablationRunChoice(o Options) (Output, error) {
 			cfg.CacheBlocks = 500
 			cfg.RunPolicy = pol
 			cfg.Seed = o.Seed + uint64(trial)
-			cfg.Workload = &workload.Sequence{Runs: append([]int(nil), trace...)}
+			cfg.WorkloadFactory = func(int) workload.Model { return &workload.Sequence{Runs: trace} }
 			g.addSeeded(cfg, func(a core.Aggregate) {
 				res := a.Results[0]
 				totals[pol].Add(res.TotalTime.Seconds())

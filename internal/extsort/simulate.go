@@ -36,7 +36,7 @@ func SimulateMerge(runBlocks []int, trace *Trace, base core.Config) (core.Result
 	cfg.K = len(runBlocks)
 	cfg.RunLengths = runBlocks
 	cfg.BlocksPerRun = 0
-	cfg.Workload = &workload.Sequence{Runs: trace.Runs}
+	cfg.WorkloadFactory = func(int) workload.Model { return &workload.Sequence{Runs: trace.Runs} }
 	if cfg.D > cfg.K {
 		cfg.D = cfg.K
 	}

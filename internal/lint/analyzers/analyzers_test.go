@@ -46,7 +46,7 @@ func TestSimUnits(t *testing.T) {
 }
 
 // TestCtxFlow covers goroutine exit proofs over the CFG, context
-// stores into structs, and dropped-context findings with fixes.
+// stores into structs, and dropped-context findings.
 func TestCtxFlow(t *testing.T) {
 	linttest.Run(t, fixture("ctxflow"), analyzers.CtxFlow)
 }

@@ -24,10 +24,9 @@ import (
 //     cancellation from the call tree.
 //  3. A function that receives a ctx must not conjure a fresh root
 //     with context.Background()/TODO() — that drops the caller's
-//     deadline and cancellation. The finding carries a suggested fix
-//     (replace with the in-scope parameter) applied by detlint -fix;
-//     deliberate detachment (the service's singleflight leader) is a
-//     reasoned //detlint:allow.
+//     deadline and cancellation. The fix is to pass the in-scope
+//     parameter; deliberate detachment (the service's singleflight
+//     leader) is a reasoned //detlint:allow.
 var CtxFlow = &lint.Analyzer{
 	Name: "ctxflow",
 	Doc:  "goroutines need provable exit paths; contexts must be propagated, not stored or re-rooted",
@@ -197,11 +196,7 @@ func checkCtxDropped(pass *lint.Pass, fd *ast.FuncDecl) {
 		if pn, ok := pass.TypesInfo.Uses[pkg].(*types.PkgName); !ok || pn.Imported().Path() != "context" {
 			return true
 		}
-		fix := lint.SuggestedFix{
-			Message: "propagate the received context",
-			Edits:   []lint.TextEdit{{Pos: call.Pos(), End: call.End(), NewText: ctxName}},
-		}
-		pass.ReportFix(call.Pos(), fix, "context.%s() discards the received %s: propagate it (or //detlint:allow with the detachment rationale)", sel.Sel.Name, ctxName)
+		pass.Reportf(call.Pos(), "context.%s() discards the received %s: propagate it (or //detlint:allow with the detachment rationale)", sel.Sel.Name, ctxName)
 		return true
 	})
 }

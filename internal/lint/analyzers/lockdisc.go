@@ -52,9 +52,9 @@ type lockFact struct {
 
 // heldLock is one entry of the walker's held set.
 type heldLock struct {
-	key  string       // types.ExprString of the receiver, for display + set identity
-	obj  types.Object // the mutex field/var, nil when the receiver is too dynamic to name
-	pos  token.Pos
+	key string       // types.ExprString of the receiver, for display + set identity
+	obj types.Object // the mutex field/var, nil when the receiver is too dynamic to name
+	pos token.Pos
 }
 
 func runLockDisc(pass *lint.Pass) error {

@@ -73,8 +73,8 @@ func newWorker(ctx context.Context) *worker {
 	return &worker{ctx: ctx, done: make(chan struct{})} // want `context stored into field ctx via literal`
 }
 
-// lookup drops the caller's deadline by conjuring a fresh root; the
-// finding carries a suggested fix replacing the call with ctx.
+// lookup drops the caller's deadline by conjuring a fresh root where
+// it should pass ctx on.
 func lookup(ctx context.Context, keys chan string) {
 	query(context.Background(), keys) // want `context.Background\(\) discards the received ctx`
 }

@@ -46,7 +46,7 @@ func keep(r *request) {}
 
 func trace(r request) {
 	fmt.Println("req", r.start) // want `fmt.Println \(interface boxing and formatting state\) in trace`
-	sink(r.count) // want `interface conversion of a concrete value \(boxes on the heap\) in trace`
+	sink(r.count)               // want `interface conversion of a concrete value \(boxes on the heap\) in trace`
 }
 
 func sink(v any) {}

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/parser"
 	"go/token"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -44,34 +43,6 @@ func FuzzParseAllowDirective(f *testing.F) {
 		}
 		if len(diags) > 0 && len(dirs) > 0 {
 			t.Fatalf("comment %q both errored and suppressed", comment)
-		}
-	})
-}
-
-// FuzzBaselineRoundTrip: any parseable baseline must reserialize to a
-// canonical form that parses back to the identical value, and the
-// canonical form must be a fixed point.
-func FuzzBaselineRoundTrip(f *testing.F) {
-	f.Add(baselineHeader + "\n1\tinternal/core/engine.go\tsimunits\t\"mixing units\"\n")
-	f.Add("2\ta.go\thotalloc\t\"closure in hot path\"\n")
-	f.Add("# comment only\n")
-	f.Add("")
-	f.Add("1\ta.go\tnondet\t\"tab\\tand\\nnewline\"\n")
-	f.Fuzz(func(t *testing.T, text string) {
-		b, err := ParseBaseline(strings.NewReader(text))
-		if err != nil {
-			t.Skip() // malformed input is allowed to fail; it must not panic
-		}
-		canon := FormatBaseline(b)
-		b2, err := ParseBaseline(strings.NewReader(canon))
-		if err != nil {
-			t.Fatalf("canonical form failed to parse: %v\n%q", err, canon)
-		}
-		if !reflect.DeepEqual(b.Counts, b2.Counts) {
-			t.Fatalf("round trip changed the baseline:\n%v\nvs\n%v", b.Counts, b2.Counts)
-		}
-		if again := FormatBaseline(b2); again != canon {
-			t.Fatalf("format not a fixed point:\n%q\nvs\n%q", again, canon)
 		}
 	})
 }

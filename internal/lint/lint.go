@@ -11,10 +11,8 @@
 // multichecker front-end wired into `make lint` and CI.
 //
 // Since detlint v2 the framework also carries a lightweight dataflow
-// layer: an intra-procedural CFG builder (cfg.go), a cross-package fact
-// store for per-function summaries (facts.go), suggested fixes applied
-// by `detlint -fix` (fix.go), and a findings baseline so new analyzers
-// can land strict without a big-bang cleanup (baseline.go).
+// layer: an intra-procedural CFG builder (cfg.go) and a cross-package
+// fact store for per-function summaries (facts.go).
 //
 // A finding can be suppressed at its site with
 //
@@ -103,29 +101,11 @@ type Pass struct {
 	facts *Facts
 }
 
-// A TextEdit replaces the source range [Pos, End) with NewText.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
-}
-
-// A SuggestedFix is one self-contained rewrite that resolves a finding.
-// `detlint -fix` applies it; `-diff` previews it.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
 // A Diagnostic is one finding at one source position.
 type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-
-	// SuggestedFixes, when non-empty, are machine-applicable resolutions;
-	// only the first is applied by -fix.
-	SuggestedFixes []SuggestedFix
 }
 
 func (d Diagnostic) String() string {
@@ -138,16 +118,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ReportFix is Reportf with one suggested rewrite attached.
-func (p *Pass) ReportFix(pos token.Pos, fix SuggestedFix, format string, args ...any) {
-	p.Report(Diagnostic{
-		Pos:            p.Fset.Position(pos),
-		Analyzer:       p.Analyzer.Name,
-		Message:        fmt.Sprintf(format, args...),
-		SuggestedFixes: []SuggestedFix{fix},
 	})
 }
 

@@ -56,8 +56,8 @@ var shared struct {
 	mu      sync.Mutex
 	fset    *token.FileSet
 	std     types.Importer
-	lists   map[string][]byte    // `go list` stdout by dir+patterns
-	checked map[string]*Package  // type-checked module packages by dir+path
+	lists   map[string][]byte     // `go list` stdout by dir+patterns
+	checked map[string]*Package   // type-checked module packages by dir+path
 	meta    map[string]*listedPkg // listed metadata by dir+path
 }
 
@@ -97,19 +97,6 @@ func LockLoader() func() {
 	sharedInit()
 	shared.mu.Lock()
 	return shared.mu.Unlock
-}
-
-// ResetLoadCache drops the memoized `go list` output and type-checked
-// module packages while keeping the FileSet and the stdlib importer —
-// the expensive part. The detlint front-end calls it at the top of each
-// invocation so the module is re-read from disk (a -fix rewrite, an
-// edit between runs), while the many Load calls *within* one invocation
-// still share everything.
-func ResetLoadCache() {
-	defer LockLoader()()
-	shared.lists = make(map[string][]byte)
-	shared.checked = make(map[string]*Package)
-	shared.meta = make(map[string]*listedPkg)
 }
 
 // loader resolves and type-checks packages of the current module from

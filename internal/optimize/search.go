@@ -83,9 +83,9 @@ type Result struct {
 	// Evaluations counts Evaluator calls (adaptive-trial escalations
 	// included); CacheServed counts those answered without fresh engine
 	// work; Distinct counts unique evaluated configurations.
-	Evaluations int  `json:"evaluations"`
-	CacheServed int  `json:"cache_served"`
-	Distinct    int  `json:"distinct_points"`
+	Evaluations int `json:"evaluations"`
+	CacheServed int `json:"cache_served"`
+	Distinct    int `json:"distinct_points"`
 	// Truncated reports an abnormal stop: the search exhausted
 	// MaxEvaluations or the visit bound before its driver finished.
 	Truncated bool `json:"truncated,omitempty"`

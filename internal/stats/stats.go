@@ -1,7 +1,6 @@
 // Package stats provides the summary statistics the experiment harness
 // reports: running means and variances, confidence intervals across
-// simulation trials, time-weighted averages (e.g. average number of busy
-// disks), and simple histograms.
+// simulation trials, and simple histograms.
 package stats
 
 import (
@@ -121,52 +120,6 @@ func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g ±%.2g [%.4g, %.4g]",
 		s.n, s.mean, s.CI95(), s.min, s.max)
 }
-
-// TimeWeighted tracks the time-average of a piecewise-constant quantity,
-// such as the number of concurrently busy disks. Call Update with every
-// change; Mean integrates value·dt over the observation window.
-type TimeWeighted struct {
-	started  bool
-	startT   float64
-	lastT    float64
-	lastV    float64
-	integral float64
-	maxV     float64
-}
-
-// Update records that the quantity has value v from time t onward.
-// Times must be non-decreasing.
-func (w *TimeWeighted) Update(t, v float64) {
-	if !w.started {
-		w.started = true
-		w.startT, w.lastT, w.lastV, w.maxV = t, t, v, v
-		return
-	}
-	if t < w.lastT {
-		panic("stats: TimeWeighted.Update with decreasing time")
-	}
-	w.integral += w.lastV * (t - w.lastT)
-	w.lastT, w.lastV = t, v
-	if v > w.maxV {
-		w.maxV = v
-	}
-}
-
-// Finish closes the observation window at time t, extending the last
-// value to t.
-func (w *TimeWeighted) Finish(t float64) { w.Update(t, w.lastV) }
-
-// Mean returns the time-average over [start, last update].
-func (w *TimeWeighted) Mean() float64 {
-	span := w.lastT - w.startT
-	if span <= 0 {
-		return w.lastV
-	}
-	return w.integral / span
-}
-
-// Max returns the largest value observed.
-func (w *TimeWeighted) Max() float64 { return w.maxV }
 
 // Histogram counts observations in equal-width bins over [lo, hi);
 // values outside the range land in the under/overflow counters.

@@ -91,51 +91,6 @@ func TestTCritTails(t *testing.T) {
 	}
 }
 
-func TestTimeWeightedMean(t *testing.T) {
-	var w TimeWeighted
-	w.Update(0, 1)  // value 1 on [0, 10)
-	w.Update(10, 3) // value 3 on [10, 20)
-	w.Finish(20)
-	if !almost(w.Mean(), 2, 1e-12) {
-		t.Fatalf("mean = %v, want 2", w.Mean())
-	}
-	if w.Max() != 3 {
-		t.Fatalf("max = %v", w.Max())
-	}
-}
-
-func TestTimeWeightedZeroSpan(t *testing.T) {
-	var w TimeWeighted
-	w.Update(5, 7)
-	if w.Mean() != 7 {
-		t.Fatalf("zero-span mean = %v, want last value", w.Mean())
-	}
-}
-
-func TestTimeWeightedDecreasingTimePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("decreasing time did not panic")
-		}
-	}()
-	var w TimeWeighted
-	w.Update(10, 1)
-	w.Update(5, 2)
-}
-
-func TestTimeWeightedConcurrencyShape(t *testing.T) {
-	// Simulates 2 disks: disk A busy [0,10), disk B busy [5,15).
-	var w TimeWeighted
-	w.Update(0, 1)
-	w.Update(5, 2)
-	w.Update(10, 1)
-	w.Update(15, 0)
-	// Integral = 1*5 + 2*5 + 1*5 = 20 over 15.
-	if !almost(w.Mean(), 20.0/15.0, 1e-12) {
-		t.Fatalf("mean busy = %v", w.Mean())
-	}
-}
-
 func TestHistogramBinning(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
 	for i := 0; i < 10; i++ {

@@ -20,9 +20,9 @@ func exportRecorder() *Recorder {
 	r.DiskPhase(2, PhaseRetry, 3, 4)
 	r.DiskPhase(2, PhaseOutage, 10, 12)
 	r.CPUSpan(CPUCompute, 9, 10)
-	r.CPUSpan(CPUStall, 0, 9)     // initial load: no run identity
-	r.CPUStallOn(3, 10.5, 12.25)  // demand stall on run 3
-	r.Prefetch(1, 3, 4, 0.5, 9)   // the fetch that stall waited on
+	r.CPUSpan(CPUStall, 0, 9)    // initial load: no run identity
+	r.CPUStallOn(3, 10.5, 12.25) // demand stall on run 3
+	r.Prefetch(1, 3, 4, 0.5, 9)  // the fetch that stall waited on
 	r.CacheSample(0, 0)
 	r.CacheSample(9, 4)
 	r.QueueSample(1, 0.5, 1)
