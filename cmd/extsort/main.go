@@ -174,13 +174,6 @@ func runMultiPass(cfg extsort.Config, in extsort.RecordReader, fanIn, d, n, cach
 	fmt.Printf("  total:  %8.3f s\n", total.Seconds())
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "extsort:", err)
 	os.Exit(1)

@@ -109,7 +109,6 @@ func TestDoubleDepositPanics(t *testing.T) {
 	c.Reserve(3)
 	c.Deposit(0, 0)
 	for _, idx := range []int{0, 2} {
-		idx := idx
 		if idx == 2 {
 			c.Deposit(0, 2)
 		}

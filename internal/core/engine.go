@@ -460,13 +460,6 @@ func (e *engine) result() Result {
 	return res
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // adaptOnAdmit raises the adaptive depth additively after a streak of
 // fully admitted batches.
 func (e *engine) adaptOnAdmit() {

@@ -155,12 +155,6 @@ type Aggregate struct {
 	Results []Result
 }
 
-// MeanTotalSeconds returns the across-trial mean total time in seconds.
-func (a Aggregate) MeanTotalSeconds() float64 { return a.TotalTime.Mean() }
-
-// MeanSuccessRatio returns the across-trial mean success ratio.
-func (a Aggregate) MeanSuccessRatio() float64 { return a.SuccessRatio.Mean() }
-
 // String summarizes the aggregate.
 func (a Aggregate) String() string {
 	return fmt.Sprintf("%s k=%d D=%d N=%d C=%d: total=%.2fs ±%.2f success=%.3f (%d trials)",

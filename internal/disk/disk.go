@@ -470,7 +470,6 @@ func (d *Disk) startNext() {
 // growBlockFns extends the delivery-thunk table to cover n blocks.
 func (d *Disk) growBlockFns(n int) {
 	for i := len(d.blockFns); i < n; i++ {
-		i := i
 		//detlint:allow hotalloc the thunk table is grown once to the deepest request and reused for every later dispatch
 		d.blockFns = append(d.blockFns, func() { d.deliver(i) })
 	}

@@ -19,7 +19,6 @@ import (
 // greedy's partial fetches delay the return to full-concurrency states;
 // all-or-demand should win at mid-size caches.
 func ablationAdmission(o Options) (Output, error) {
-	o = o.normalized()
 	f := &table.Figure{
 		ID: "ablation-admission", Title: "Admission policy (25 runs, 5 disks, N=10)",
 		XLabel: "cache size (blocks)", YLabel: "execution time (seconds)",
@@ -49,7 +48,6 @@ func ablationAdmission(o Options) (Output, error) {
 // marginal; buffer-informed and oracle choices quantify the actual
 // headroom at a constrained cache.
 func ablationRunChoice(o Options) (Output, error) {
-	o = o.normalized()
 	t := &table.Table{
 		Title:   "Inter-run prefetch run choice (k=25, D=5, N=10, C=500, shared traces)",
 		Columns: []string{"policy", "total (s)", "success ratio"},
@@ -72,7 +70,6 @@ func ablationRunChoice(o Options) (Output, error) {
 	for trial := 0; trial < o.Trials; trial++ {
 		trace := uniformTrace(o.Seed+uint64(trial), k, blocks)
 		for _, pol := range policies {
-			pol := pol
 			cfg := baseConfig(k, 5, 10)
 			cfg.InterRun = true
 			cfg.CacheBlocks = 500
@@ -115,15 +112,13 @@ func uniformTrace(seed uint64, k, blocks int) []int {
 // ablationRotation compares the paper's mean-uniform rotational model
 // against a constant-latency and a positional (angle-tracking) model.
 func ablationRotation(o Options) (Output, error) {
-	o = o.normalized()
 	t := &table.Table{
 		Title:   "Rotational latency model (k=25, D=5, N=10, inter-run, ample cache)",
 		Columns: []string{"model", "total (s)"},
 	}
 	g := newGrid(o)
 	for _, m := range []disk.RotationalModel{disk.RotUniform, disk.RotConstant, disk.RotPositional} {
-		m := m
-		cfg := interConfig(25, 5, 10)
+		cfg := strategyConfig(true, 25, 5, 10)
 		cfg.Disk.Rotational = m
 		g.add(cfg, func(a core.Aggregate) {
 			t.AddRow(m.String(), fmt.Sprintf("%.2f", a.TotalTime.Mean()))
@@ -139,7 +134,6 @@ func ablationRotation(o Options) (Output, error) {
 // disks parallelizes even a single intra-run fetch, at the price of
 // occupying every arm; the bench shows where each wins.
 func ablationPlacement(o Options) (Output, error) {
-	o = o.normalized()
 	t := &table.Table{
 		Title:   "Run placement (k=25, D=5, N=10, intra-run only)",
 		Columns: []string{"placement", "strategy", "total (s)"},
@@ -147,13 +141,10 @@ func ablationPlacement(o Options) (Output, error) {
 	g := newGrid(o)
 	for _, pl := range []layout.Placement{layout.RoundRobin, layout.Clustered, layout.Striped} {
 		for _, inter := range []bool{false, true} {
-			pl := pl
-			cfg := baseConfig(25, 5, 10)
+			cfg := strategyConfig(inter, 25, 5, 10)
 			cfg.Placement = pl
-			cfg.InterRun = inter
 			name := "demand-run-only"
 			if inter {
-				cfg.CacheBlocks = cache.Unlimited
 				name = "all-disks-one-run"
 			}
 			g.add(cfg, func(a core.Aggregate) {
@@ -174,59 +165,32 @@ func ablationPlacement(o Options) (Output, error) {
 // bench shows the strategy ordering — and inter-run's dominance — is
 // robust to the curve's shape.
 func ablationSeekModel(o Options) (Output, error) {
-	o = o.normalized()
-	t := &table.Table{
-		Title:   "Seek curve (k=25, D=5, N=10): linear (paper) vs affine-sqrt",
-		Columns: []string{"strategy", "linear (s)", "affine-sqrt (s)"},
-	}
-	strategies := []struct {
-		name  string
-		n     int
-		inter bool
-	}{
-		{"no prefetch", 1, false},
-		{"demand-run-only N=10", 10, false},
-		{"all-disks-one-run N=10", 10, true},
-	}
-	g := newGrid(o)
-	rows := make([][]string, len(strategies))
-	for i, s := range strategies {
-		rows[i] = []string{s.name, "", ""}
-		for j, model := range []disk.SeekModel{disk.SeekLinear, disk.SeekAffineSqrt} {
-			cell := &rows[i][j+1]
-			cfg := baseConfig(25, 5, s.n)
-			cfg.InterRun = s.inter
-			if s.inter {
-				cfg.CacheBlocks = cache.Unlimited
-			}
-			cfg.Disk.Seek = model
-			cfg.Disk.SeekSettle = 2      // ms: head settle
-			cfg.Disk.SeekSqrtCoeff = 0.5 // ms per sqrt(cylinder)
-			g.add(cfg, func(a core.Aggregate) {
-				*cell = fmt.Sprintf("%.2f", a.TotalTime.Mean())
-			})
+	seek := func(model disk.SeekModel) func(*core.Config) {
+		return func(c *core.Config) {
+			c.Disk.Seek = model
+			c.Disk.SeekSettle = 2      // ms: head settle
+			c.Disk.SeekSqrtCoeff = 0.5 // ms per sqrt(cylinder)
 		}
 	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return Output{Tables: []*table.Table{t}}, nil
+	return strategyTable(o, "Seek curve (k=25, D=5, N=10): linear (paper) vs affine-sqrt",
+		[]string{"strategy", "linear (s)", "affine-sqrt (s)"},
+		[]strategyRow{
+			{"no prefetch", 1, false},
+			{"demand-run-only N=10", 10, false},
+			{"all-disks-one-run N=10", 10, true},
+		},
+		seek(disk.SeekLinear), seek(disk.SeekAffineSqrt))
 }
 
 // ablationScheduler compares FCFS (paper) against SSTF queueing under
 // inter-run prefetching, where queues actually form.
 func ablationScheduler(o Options) (Output, error) {
-	o = o.normalized()
 	t := &table.Table{
 		Title:   "Disk queue discipline (k=50, D=5, N=10, inter-run, C=800)",
 		Columns: []string{"discipline", "total (s)", "success ratio"},
 	}
 	g := newGrid(o)
 	for _, disc := range []disk.Discipline{disk.FCFS, disk.SSTF, disk.SCAN} {
-		disc := disc
 		cfg := baseConfig(50, 5, 10)
 		cfg.InterRun = true
 		cfg.CacheBlocks = 800

@@ -31,9 +31,8 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions mirrors the paper: 5 trials.
-func DefaultOptions() Options { return Options{Trials: 5, Seed: 1} }
-
+// normalized fills unset options with the paper's defaults: 5 trials
+// from seed 1.
 func (o Options) normalized() Options {
 	if o.Trials <= 0 {
 		o.Trials = 5
@@ -58,12 +57,19 @@ type Spec struct {
 }
 
 // All returns every experiment, paper figures first, then validation
-// and ablations.
+// and ablations. Each spec's Run normalizes its options before the
+// generator sees them, so generators never repeat that step.
 func All() []Spec {
-	return []Spec{
-		{ID: "3.2a", Title: "Total time vs N, k=25 (1000 blocks/run), unsynchronized", Run: fig32a},
-		{ID: "3.2b", Title: "Total time vs N, k=50, unsynchronized", Run: fig32b},
-		{ID: "3.2c", Title: "Total time vs N, expanded view, 5 disks, k=25 and 50", Run: fig32c},
+	specs := []Spec{
+		{ID: "3.2a", Title: "Total time vs N, k=25 (1000 blocks/run), unsynchronized",
+			Run: nSweep("3.2a", "Fetching N Blocks (25 runs)",
+				curve{true, 25, 5}, curve{false, 25, 5}, curve{false, 25, 1})},
+		{ID: "3.2b", Title: "Total time vs N, k=50, unsynchronized",
+			Run: nSweep("3.2b", "Fetching N Blocks (50 runs)",
+				curve{true, 50, 10}, curve{true, 50, 5}, curve{false, 50, 10}, curve{false, 50, 1})},
+		{ID: "3.2c", Title: "Total time vs N, expanded view, 5 disks, k=25 and 50",
+			Run: nSweep("3.2c", "Fetching N Blocks: Expanded View (5 Disks, 25 and 50 runs)",
+				curve{true, 25, 5}, curve{true, 50, 5}, curve{false, 25, 5}, curve{false, 50, 5})},
 		{ID: "3.3", Title: "Effect of finite-speed CPU, k=25, D=5, N=10", Run: fig33},
 		{ID: "3.5a", Title: "Execution time and success ratio vs cache size, 25 runs, 5 disks", Run: fig35a},
 		{ID: "3.5b", Title: "Execution time and success ratio vs cache size, 50 runs, 5 disks", Run: fig35b},
@@ -81,11 +87,21 @@ func All() []Spec {
 		{ID: "ext-multipass", Title: "Extension: multi-pass regime and planner", Run: extMultiPass},
 		{ID: "ext-realtrace", Title: "Extension: real merge trace replayed through the simulator", Run: extRealTrace},
 		{ID: "ext-adaptive-n", Title: "Extension: adaptive prefetch depth (AIMD controller)", Run: extAdaptiveN},
-		{ID: "ext-k100", Title: "Extension: the k=100 sweep the paper omitted", Run: extK100},
+		// The experiment the paper ran but omitted "for reasons of
+		// space": the figure-3.2 sweep at k = 100 runs. The same shapes
+		// must hold at the larger merge order.
+		{ID: "ext-k100", Title: "Extension: the k=100 sweep the paper omitted",
+			Run: nSweep("ext-k100", "Fetching N Blocks (100 runs) — the sweep the paper omitted",
+				curve{true, 100, 10}, curve{true, 100, 5}, curve{false, 100, 10}, curve{false, 100, 1})},
 		{ID: "ext-modern-disk", Title: "Extension: the strategies on a late-2000s drive", Run: extModernDisk},
 		{ID: "ext-degraded-disk", Title: "Extension: one disk fail-slow — strategy sensitivity to a degraded arm", Run: extDegradedDisk},
 		{ID: "ext-stall-attribution", Title: "Extension: where the time goes — stall attribution over the buffer sweep", Run: extStallAttribution},
 	}
+	for i := range specs {
+		run := specs[i].Run
+		specs[i].Run = func(o Options) (Output, error) { return run(o.normalized()) }
+	}
+	return specs
 }
 
 // Find returns the spec whose ID matches, or an error listing options.
@@ -122,105 +138,93 @@ func baseConfig(k, d, n int) core.Config {
 	return cfg
 }
 
-// intraConfig is "Demand Run Only": intra-run prefetching with the
-// paper's natural kN cache.
-func intraConfig(k, d, n int) core.Config {
-	return baseConfig(k, d, n)
-}
-
-// interConfig is "All Disks One Run": combined inter+intra prefetching.
-// The figure-3.2 curves assume an ample cache (success ratio 1).
-func interConfig(k, d, n int) core.Config {
+// strategyConfig returns baseConfig under one of the paper's two
+// strategies. Inter-run is "All Disks One Run": combined inter+intra
+// prefetching with an ample cache (success ratio 1), as the figure-3.2
+// curves assume. Intra-run is "Demand Run Only" with the natural kN
+// cache.
+func strategyConfig(inter bool, k, d, n int) core.Config {
 	cfg := baseConfig(k, d, n)
-	cfg.InterRun = true
-	cfg.CacheBlocks = cache.Unlimited
+	if inter {
+		cfg.InterRun = true
+		cfg.CacheBlocks = cache.Unlimited
+	}
 	return cfg
 }
 
-// sweepN schedules one series' points — mean total seconds over the N
-// grid — on g.
-func sweepN(g *grid, s *table.Series, mk func(n int) core.Config) {
-	for _, n := range nGrid(g.o.Quick) {
-		g.addPoint(s, float64(n), mk(n))
+// curve is one strategy line of a figure-3.2-shaped panel: inter-run
+// or intra-run prefetching for k runs on d disks.
+type curve struct {
+	inter bool
+	k, d  int
+}
+
+// label is the curve's legend in the paper's wording.
+func (c curve) label() string {
+	strategy, disks := "Demand Run Only", "disks"
+	if c.inter {
+		strategy = "All Disks One Run"
+	}
+	if c.d == 1 {
+		disks = "disk"
+	}
+	return fmt.Sprintf("%s (%d runs, %d %s)", strategy, c.k, c.d, disks)
+}
+
+// nSweep returns the generator of one figure-3.2-shaped panel: mean
+// total time against the intra-run depth N, one series per curve.
+func nSweep(id, title string, curves ...curve) func(Options) (Output, error) {
+	return func(o Options) (Output, error) {
+		f := &table.Figure{ID: id, Title: title, XLabel: "N", YLabel: "total time (seconds)"}
+		g := newGrid(o)
+		for _, c := range curves {
+			s := f.AddSeries(c.label())
+			for _, n := range nGrid(o.Quick) {
+				g.addPoint(s, float64(n), strategyConfig(c.inter, c.k, c.d, n))
+			}
+		}
+		if err := g.run(); err != nil {
+			return Output{}, err
+		}
+		return Output{Figures: []*table.Figure{f}}, nil
 	}
 }
 
-func fig32a(o Options) (Output, error) {
-	o = o.normalized()
-	f := &table.Figure{
-		ID: "3.2a", Title: "Fetching N Blocks (25 runs)",
-		XLabel: "N", YLabel: "total time (seconds)",
-	}
-	curves := []struct {
-		label string
-		mk    func(n int) core.Config
-	}{
-		{"All Disks One Run (25 runs, 5 disks)", func(n int) core.Config { return interConfig(25, 5, n) }},
-		{"Demand Run Only (25 runs, 5 disks)", func(n int) core.Config { return intraConfig(25, 5, n) }},
-		{"Demand Run Only (25 runs, 1 disk)", func(n int) core.Config { return intraConfig(25, 1, n) }},
-	}
+// strategyRow is one strategy of a strategyTable: intra-run depth n,
+// with or without inter-run prefetching.
+type strategyRow struct {
+	name  string
+	n     int
+	inter bool
+}
+
+// strategyTable runs each strategy row at the headline shape (k=25,
+// D=5) once per column variant and files the mean total seconds: cell
+// j+1 of a row is the row's strategy with variants[j] applied.
+func strategyTable(o Options, title string, columns []string, rows []strategyRow, variants ...func(*core.Config)) (Output, error) {
+	cells := make([][]string, len(rows))
 	g := newGrid(o)
-	for _, c := range curves {
-		sweepN(g, f.AddSeries(c.label), c.mk)
+	for i, r := range rows {
+		cells[i] = make([]string, 1+len(variants))
+		cells[i][0] = r.name
+		for j, vary := range variants {
+			cell := &cells[i][j+1]
+			cfg := strategyConfig(r.inter, 25, 5, r.n)
+			vary(&cfg)
+			g.add(cfg, func(a core.Aggregate) { *cell = fmt.Sprintf("%.2f", a.TotalTime.Mean()) })
+		}
 	}
 	if err := g.run(); err != nil {
 		return Output{}, err
 	}
-	return Output{Figures: []*table.Figure{f}}, nil
-}
-
-func fig32b(o Options) (Output, error) {
-	o = o.normalized()
-	f := &table.Figure{
-		ID: "3.2b", Title: "Fetching N Blocks (50 runs)",
-		XLabel: "N", YLabel: "total time (seconds)",
+	t := &table.Table{Title: title, Columns: columns}
+	for _, row := range cells {
+		t.AddRow(row...)
 	}
-	curves := []struct {
-		label string
-		mk    func(n int) core.Config
-	}{
-		{"All Disks One Run (50 runs, 10 disks)", func(n int) core.Config { return interConfig(50, 10, n) }},
-		{"All Disks One Run (50 runs, 5 disks)", func(n int) core.Config { return interConfig(50, 5, n) }},
-		{"Demand Run Only (50 runs, 10 disks)", func(n int) core.Config { return intraConfig(50, 10, n) }},
-		{"Demand Run Only (50 runs, 1 disk)", func(n int) core.Config { return intraConfig(50, 1, n) }},
-	}
-	g := newGrid(o)
-	for _, c := range curves {
-		sweepN(g, f.AddSeries(c.label), c.mk)
-	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	return Output{Figures: []*table.Figure{f}}, nil
-}
-
-func fig32c(o Options) (Output, error) {
-	o = o.normalized()
-	f := &table.Figure{
-		ID: "3.2c", Title: "Fetching N Blocks: Expanded View (5 Disks, 25 and 50 runs)",
-		XLabel: "N", YLabel: "total time (seconds)",
-	}
-	curves := []struct {
-		label string
-		mk    func(n int) core.Config
-	}{
-		{"All Disks One Run (25 runs, 5 disks)", func(n int) core.Config { return interConfig(25, 5, n) }},
-		{"All Disks One Run (50 runs, 5 disks)", func(n int) core.Config { return interConfig(50, 5, n) }},
-		{"Demand Run Only (25 runs, 5 disks)", func(n int) core.Config { return intraConfig(25, 5, n) }},
-		{"Demand Run Only (50 runs, 5 disks)", func(n int) core.Config { return intraConfig(50, 5, n) }},
-	}
-	g := newGrid(o)
-	for _, c := range curves {
-		sweepN(g, f.AddSeries(c.label), c.mk)
-	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	return Output{Figures: []*table.Figure{f}}, nil
+	return Output{Tables: []*table.Table{t}}, nil
 }
 
 func fig33(o Options) (Output, error) {
-	o = o.normalized()
 	f := &table.Figure{
 		ID: "3.3", Title: "Effect of Finite-Speed CPU (25 runs, 5 disks, N=10)",
 		XLabel: "merge time per block (ms)", YLabel: "total execution time (seconds)",
@@ -243,12 +247,7 @@ func fig33(o Options) (Output, error) {
 	for _, c := range curves {
 		s := f.AddSeries(c.label)
 		for _, mt := range mts {
-			var cfg core.Config
-			if c.inter {
-				cfg = interConfig(25, 5, 10)
-			} else {
-				cfg = intraConfig(25, 5, 10)
-			}
+			cfg := strategyConfig(c.inter, 25, 5, 10)
 			cfg.Synchronized = c.sync
 			cfg.MergeTimePerBlock = sim.Ms(mt)
 			g.addPoint(s, mt, cfg)
@@ -277,17 +276,9 @@ func cacheGrid(k, maxSize int, quick bool) []int {
 	return grid
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // cacheSweep produces the paired figures 3.5x (time) and 3.6x
 // (success ratio) for one (k, D) shape.
 func cacheSweep(idTime, idRatio string, k, d, maxCache int, o Options) (Output, error) {
-	o = o.normalized()
 	ft := &table.Figure{
 		ID:     idTime,
 		Title:  fmt.Sprintf("Total Execution Time vs. Cache Size: All Disks One Run (%d runs, %d disks)", k, d),

@@ -230,3 +230,28 @@ func TestOptionsNormalized(t *testing.T) {
 		t.Fatalf("normalized = %+v", o)
 	}
 }
+
+// TestAllNormalizesOptions pins the normalize-once rule: a spec from All
+// given no trials and no seed renders exactly what it renders at the
+// paper's 5 trials from seed 1, for each builder shape.
+func TestAllNormalizesOptions(t *testing.T) {
+	for _, id := range []string{"3.2a", "ext-modern-disk"} {
+		t.Run(id, func(t *testing.T) {
+			spec, err := Find(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [2]string
+			for i, o := range []Options{{Quick: true}, {Quick: true, Trials: 5, Seed: 1}} {
+				out, err := spec.Run(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = render(t, []Output{out})
+			}
+			if got[0] != got[1] {
+				t.Fatalf("zero options diverged from 5 trials at seed 1: %s", firstDiff(got[0], got[1]))
+			}
+		})
+	}
+}

@@ -20,7 +20,6 @@ import (
 // drawn). Traced points run single-trial and serial; determinism makes
 // one trial exact, not noisy.
 func extStallAttribution(o Options) (Output, error) {
-	o = o.normalized()
 	fInter := stallFigure("ext-stall-attribution",
 		"Extension: where the time goes — All Disks One Run (25 runs, 5 disks, N=10)")
 	fIntra := stallFigure("ext-stall-attribution-intra",

@@ -19,7 +19,6 @@ import (
 // arms. The paper's exclusion of write traffic is justified exactly
 // when the first two rows coincide.
 func extWriteTraffic(o Options) (Output, error) {
-	o = o.normalized()
 	t := &table.Table{
 		Title:   "Write traffic (k=25, D=5, N=10, inter-run, ample cache)",
 		Columns: []string{"output model", "total (s)", "write stall (s)"},
@@ -41,9 +40,7 @@ func extWriteTraffic(o Options) (Output, error) {
 	}
 	g := newGrid(o)
 	for _, cs := range cases {
-		cs := cs
-		cfg := interConfig(25, 5, 10)
-		cfg.CacheBlocks = cache.Unlimited
+		cfg := strategyConfig(true, 25, 5, 10)
 		cs.mut(&cfg)
 		g.add(cfg, func(a core.Aggregate) {
 			var stall float64
@@ -67,7 +64,6 @@ func extWriteTraffic(o Options) (Output, error) {
 // intra-run prefetching wins — the finding behind the calibrated
 // planner's per-pass strategy choice.
 func extMultiPass(o Options) (Output, error) {
-	o = o.normalized()
 	t := &table.Table{
 		Title:   "Extension: few long runs (k=18, D=5, N=16, C=1024) — inter-run degrades with run length",
 		Columns: []string{"blocks/run", "inter+intra (ms/blk)", "inter success", "intra N=56 (ms/blk)"},
@@ -138,85 +134,23 @@ func extMultiPass(o Options) (Output, error) {
 	return Output{Tables: []*table.Table{t, pt}}, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // extModernDisk re-runs the headline comparison on a late-2000s SATA
 // drive: transfer time shrinks ~65x while rotational latency only
 // halves, so the mechanical overheads the paper's prefetching
 // amortizes dominate even harder — the strategies age well.
 func extModernDisk(o Options) (Output, error) {
-	o = o.normalized()
-	t := &table.Table{
-		Title:   "Extension: 1992 RA-series vs late-2000s SATA (k=25, D=5, unsynchronized)",
-		Columns: []string{"strategy", "1992 drive (s)", "modern drive (s)"},
+	drive := func(params disk.Params) func(*core.Config) {
+		return func(c *core.Config) { c.Disk = params }
 	}
-	strategies := []struct {
-		name  string
-		n     int
-		inter bool
-	}{
-		{"no prefetch", 1, false},
-		{"intra-run N=10", 10, false},
-		{"inter+intra N=10", 10, true},
-		{"inter+intra N=30", 30, true},
-	}
-	g := newGrid(o)
-	rows := make([][]string, len(strategies))
-	for i, s := range strategies {
-		rows[i] = []string{s.name, "", ""}
-		for j, params := range []disk.Params{disk.PaperParams(), disk.ModernParams()} {
-			cell := &rows[i][j+1]
-			cfg := baseConfig(25, 5, s.n)
-			cfg.InterRun = s.inter
-			if s.inter {
-				cfg.CacheBlocks = cache.Unlimited
-			}
-			cfg.Disk = params
-			g.add(cfg, func(a core.Aggregate) {
-				*cell = fmt.Sprintf("%.2f", a.TotalTime.Mean())
-			})
-		}
-	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	for _, row := range rows {
-		t.AddRow(row...)
-	}
-	return Output{Tables: []*table.Table{t}}, nil
-}
-
-// extK100 reproduces the experiment the paper ran but omitted "for
-// reasons of space": the figure-3.2 sweep at k = 100 runs. The same
-// shapes must hold at the larger merge order.
-func extK100(o Options) (Output, error) {
-	o = o.normalized()
-	f := &table.Figure{
-		ID: "ext-k100", Title: "Fetching N Blocks (100 runs) — the sweep the paper omitted",
-		XLabel: "N", YLabel: "total time (seconds)",
-	}
-	curves := []struct {
-		label string
-		mk    func(n int) core.Config
-	}{
-		{"All Disks One Run (100 runs, 10 disks)", func(n int) core.Config { return interConfig(100, 10, n) }},
-		{"All Disks One Run (100 runs, 5 disks)", func(n int) core.Config { return interConfig(100, 5, n) }},
-		{"Demand Run Only (100 runs, 10 disks)", func(n int) core.Config { return intraConfig(100, 10, n) }},
-		{"Demand Run Only (100 runs, 1 disk)", func(n int) core.Config { return intraConfig(100, 1, n) }},
-	}
-	g := newGrid(o)
-	for _, c := range curves {
-		sweepN(g, f.AddSeries(c.label), c.mk)
-	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	return Output{Figures: []*table.Figure{f}}, nil
+	return strategyTable(o, "Extension: 1992 RA-series vs late-2000s SATA (k=25, D=5, unsynchronized)",
+		[]string{"strategy", "1992 drive (s)", "modern drive (s)"},
+		[]strategyRow{
+			{"no prefetch", 1, false},
+			{"intra-run N=10", 10, false},
+			{"inter+intra N=10", 10, true},
+			{"inter+intra N=30", 30, true},
+		},
+		drive(disk.PaperParams()), drive(disk.ModernParams()))
 }
 
 // extAdaptiveN compares the AIMD depth controller against fixed
@@ -224,7 +158,6 @@ func extK100(o Options) (Output, error) {
 // that every cache size has its own optimal N; the controller should
 // track it without per-configuration tuning.
 func extAdaptiveN(o Options) (Output, error) {
-	o = o.normalized()
 	f := &table.Figure{
 		ID: "ext-adaptive-n", Title: "Adaptive prefetch depth (25 runs, 5 disks, inter-run)",
 		XLabel: "cache size (blocks)", YLabel: "execution time (seconds)",
@@ -273,7 +206,6 @@ func extAdaptiveN(o Options) (Output, error) {
 // ordering against the paper's random-depletion model, and random
 // prefetch-run choice against forecast-driven (oracle) choice.
 func extRealTrace(o Options) (Output, error) {
-	o = o.normalized()
 	sortCfg := extsort.DefaultConfig()
 	sortCfg.MemoryBlocks = 200
 	records := 500_000

@@ -16,7 +16,6 @@ import (
 // unsynchronized only pays on the fraction of demand fetches that land
 // on the degraded disk.
 func extDegradedDisk(o Options) (Output, error) {
-	o = o.normalized()
 	f := &table.Figure{
 		ID: "ext-degraded-disk", Title: "Degraded disk: one arm fail-slow (k=25, 5 disks, N=10)",
 		XLabel: "slowdown factor of disk 2", YLabel: "total time (seconds)",
@@ -35,12 +34,7 @@ func extDegradedDisk(o Options) (Output, error) {
 		{"Demand Run Only, unsynchronized", false, false},
 	}
 	mk := func(inter, sync bool, factor float64) core.Config {
-		var cfg core.Config
-		if inter {
-			cfg = interConfig(25, 5, 10)
-		} else {
-			cfg = intraConfig(25, 5, 10)
-		}
+		cfg := strategyConfig(inter, 25, 5, 10)
 		cfg.Synchronized = sync
 		if factor > 1 {
 			cfg.Faults = &faults.Spec{Disks: []faults.DiskSpec{{Disk: 2, Slowdown: factor}}}
@@ -74,7 +68,6 @@ func extDegradedDisk(o Options) (Output, error) {
 	flaky.Faults = &faults.Spec{Disks: []faults.DiskSpec{{Disk: 2, ReadErrorProb: 0.05}}}
 	rows = append(rows, row{"read errors p=0.05", strategies[1].label, flaky})
 	for _, r := range rows {
-		r := r
 		g.add(r.cfg, func(a core.Aggregate) {
 			var ft core.FaultTotals
 			for _, res := range a.Results {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/table"
@@ -14,7 +13,6 @@ import (
 // expression evaluated at the configurations quoted in the prose,
 // against the simulated value.
 func anchors(o Options) (Output, error) {
-	o = o.normalized()
 	t := &table.Table{
 		Title:   "Closed-form anchors vs simulation (seconds)",
 		Columns: []string{"case", "equation", "analytic", "simulated", "rel err"},
@@ -27,13 +25,9 @@ func anchors(o Options) (Output, error) {
 		cfg      core.Config
 	}
 
-	mk := func(k, d, n int, inter, sync bool, cacheBlocks int) core.Config {
-		cfg := baseConfig(k, d, n)
-		cfg.InterRun = inter
+	mk := func(k, d, n int, inter, sync bool) core.Config {
+		cfg := strategyConfig(inter, k, d, n)
 		cfg.Synchronized = sync
-		if cacheBlocks != 0 {
-			cfg.CacheBlocks = cacheBlocks
-		}
 		return cfg
 	}
 	model := func(k, d, n int) analysis.Model {
@@ -45,53 +39,52 @@ func anchors(o Options) (Output, error) {
 		{
 			name: "no prefetch, k=25, D=1", eq: "eq 1",
 			analytic: model(25, 1, 1).TotalTime(model(25, 1, 1).Eq1NoPrefetchSingleDisk(), 1000).Seconds(),
-			cfg:      mk(25, 1, 1, false, false, 0),
+			cfg:      mk(25, 1, 1, false, false),
 		},
 		{
 			name: "no prefetch, k=50, D=1", eq: "eq 1",
 			analytic: model(50, 1, 1).TotalTime(model(50, 1, 1).Eq1NoPrefetchSingleDisk(), 1000).Seconds(),
-			cfg:      mk(50, 1, 1, false, false, 0),
+			cfg:      mk(50, 1, 1, false, false),
 		},
 		{
 			name: "intra N=10, k=25, D=1", eq: "eq 2",
 			analytic: model(25, 1, 10).TotalTime(model(25, 1, 10).Eq2IntraSingleDisk(), 1000).Seconds(),
-			cfg:      mk(25, 1, 10, false, false, 0),
+			cfg:      mk(25, 1, 10, false, false),
 		},
 		{
 			name: "intra N=10, k=50, D=1", eq: "eq 2",
 			analytic: model(50, 1, 10).TotalTime(model(50, 1, 10).Eq2IntraSingleDisk(), 1000).Seconds(),
-			cfg:      mk(50, 1, 10, false, false, 0),
+			cfg:      mk(50, 1, 10, false, false),
 		},
 		{
 			name: "no prefetch, k=25, D=5", eq: "eq 3",
 			analytic: model(25, 5, 1).TotalTime(model(25, 5, 1).Eq3NoPrefetchMultiDisk(), 1000).Seconds(),
-			cfg:      mk(25, 5, 1, false, false, 0),
+			cfg:      mk(25, 5, 1, false, false),
 		},
 		{
 			name: "no prefetch, k=50, D=10", eq: "eq 3",
 			analytic: model(50, 10, 1).TotalTime(model(50, 10, 1).Eq3NoPrefetchMultiDisk(), 1000).Seconds(),
-			cfg:      mk(50, 10, 1, false, false, 0),
+			cfg:      mk(50, 10, 1, false, false),
 		},
 		{
 			name: "sync intra N=10, k=25, D=5", eq: "eq 4",
 			analytic: model(25, 5, 10).TotalTime(model(25, 5, 10).Eq4IntraMultiDiskSync(), 1000).Seconds(),
-			cfg:      mk(25, 5, 10, false, true, 0),
+			cfg:      mk(25, 5, 10, false, true),
 		},
 		{
 			name: "sync inter N=10, k=25, D=5", eq: "eq 5",
 			analytic: model(25, 5, 10).TotalTime(model(25, 5, 10).Eq5InterMultiDiskSync(), 1000).Seconds(),
-			cfg:      mk(25, 5, 10, true, true, cache.Unlimited),
+			cfg:      mk(25, 5, 10, true, true),
 		},
 		{
 			name: "unsync intra N=30, k=25, D=5 (asymptotic)", eq: "eq4/urn",
 			analytic: model(25, 5, 30).IntraUnsyncAsymptotic(1000).Seconds(),
-			cfg:      mk(25, 5, 30, false, false, 0),
+			cfg:      mk(25, 5, 30, false, false),
 		},
 	}
 
 	g := newGrid(o)
 	for _, c := range cases {
-		c := c
 		g.add(c.cfg, func(a core.Aggregate) {
 			secs := a.TotalTime.Mean()
 			rel := (secs - c.analytic) / c.analytic
@@ -166,7 +159,6 @@ func trMarkov(o Options) (Output, error) {
 // unsynchronized intra-run prefetching at large N against the exact
 // urn-game expectation and its √(πD/2) − 1/3 asymptote.
 func concurrency(o Options) (Output, error) {
-	o = o.normalized()
 	t := &table.Table{
 		Title:   "Average I/O overlap: urn game vs simulation (N=30, unsynchronized intra-run)",
 		Columns: []string{"D", "k", "urn exact", "asymptote", "simulated"},
@@ -177,8 +169,7 @@ func concurrency(o Options) (Output, error) {
 	}
 	g := newGrid(o)
 	for _, s := range shapes {
-		s := s
-		g.add(intraConfig(s.k, s.d, 30), func(a core.Aggregate) {
+		g.add(strategyConfig(false, s.k, s.d, 30), func(a core.Aggregate) {
 			t.AddRow(
 				fmt.Sprintf("%d", s.d),
 				fmt.Sprintf("%d", s.k),

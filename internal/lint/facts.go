@@ -15,23 +15,11 @@ import "go/types"
 // map.
 type Facts struct {
 	m map[factKey]any
-	// order preserves insertion so enumeration (AllObjectFacts) is
-	// deterministic: the runner visits packages in a fixed order and
-	// analyzers export in source order.
-	order []factKey
 }
 
 type factKey struct {
 	analyzer string
 	obj      types.Object
-}
-
-// An ObjectFact pairs one exported fact with its object, for
-// enumeration by analyzers that aggregate globally (lockdisc's
-// lock-ordering graph).
-type ObjectFact struct {
-	Obj  types.Object
-	Fact any
 }
 
 // NewFacts returns an empty store. The runner creates one per
@@ -41,23 +29,9 @@ func NewFacts() *Facts {
 }
 
 func (f *Facts) set(analyzer string, obj types.Object, fact any) {
-	k := factKey{analyzer, obj}
-	if _, seen := f.m[k]; !seen {
-		f.order = append(f.order, k)
-	}
-	f.m[k] = fact
+	f.m[factKey{analyzer, obj}] = fact
 }
 
 func (f *Facts) get(analyzer string, obj types.Object) any {
 	return f.m[factKey{analyzer, obj}]
-}
-
-func (f *Facts) all(analyzer string) []ObjectFact {
-	var out []ObjectFact
-	for _, k := range f.order {
-		if k.analyzer == analyzer {
-			out = append(out, ObjectFact{Obj: k.obj, Fact: f.m[k]})
-		}
-	}
-	return out
 }

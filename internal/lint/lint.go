@@ -133,13 +133,6 @@ func (p *Pass) ImportObjectFact(obj types.Object) any {
 	return p.facts.get(p.Analyzer.Name, obj)
 }
 
-// AllObjectFacts enumerates every fact this analyzer has exported so
-// far (current package included), in export order — for analyzers that
-// aggregate a global structure such as a lock-ordering graph.
-func (p *Pass) AllObjectFacts() []ObjectFact {
-	return p.facts.all(p.Analyzer.Name)
-}
-
 // allowDirective is one parsed //detlint:allow comment.
 type allowDirective struct {
 	pos      token.Position

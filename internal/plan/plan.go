@@ -90,7 +90,7 @@ func passTime(job Job, fanIn, n int, blocks int64) sim.Time {
 	if d > fanIn {
 		d = fanIn
 	}
-	m := analysis.FromConfig(job.Disk, fanIn, d, n, int(minI64(int64(job.MemoryBlocks), blocks)))
+	m := analysis.FromConfig(job.Disk, fanIn, d, n, int(min(int64(job.MemoryBlocks), blocks)))
 	// The analytic per-block rate uses m = run length in cylinders;
 	// recompute with the true run length for this pass.
 	m.M = float64(blocks) / float64(fanIn) / float64(job.Disk.BlocksPerCylinder())
@@ -270,11 +270,4 @@ func (p Plan) SimulatePass(i int, seed uint64) (sim.Time, core.Result, error) {
 	// together process every data block exactly once.
 	perBlock := float64(res.TotalTime) / float64(res.MergedBlocks)
 	return sim.Time(perBlock * float64(p.Job.TotalBlocks)), res, nil
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -41,7 +41,13 @@ type DimensionRequest struct {
 }
 
 // OptimizeSpaceRequest is the wire form of the search space. Omitted
-// dimensions are pinned at the template's value.
+// dimensions are pinned at the template's value. For cache_blocks that
+// is the template's resolved cache: a template without cache_blocks
+// pins the natural size for its own k, D, N and strategy, and every
+// candidate runs in that many blocks. Template {k: 6, d: 3,
+// blocks_per_run: 40} searched over n: [1, 4] runs N = 4 in a 6-block
+// cache, at success ratio 0.026. "cache_blocks": {"values": [0]} sizes
+// the natural cache at each candidate instead.
 type OptimizeSpaceRequest struct {
 	K           *DimensionRequest `json:"k,omitempty"`
 	D           *DimensionRequest `json:"d,omitempty"`

@@ -30,7 +30,6 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	k := New()
 	var order []int
 	for i := 0; i < 10; i++ {
-		i := i
 		k.At(7, func() { order = append(order, i) })
 	}
 	if err := k.Run(); err != nil {
@@ -120,7 +119,6 @@ func TestHeapPropertyQuick(t *testing.T) {
 		var got []rec
 		for i, r := range raw {
 			at := Time(r % 64)
-			i := i
 			k.At(at, func() { got = append(got, rec{at, i}) })
 		}
 		if err := k.Run(); err != nil {

@@ -38,8 +38,8 @@ func WriteGantt(w io.Writer, rows []GanttRow, from, to float64, width int) error
 			if iv[1] <= from || iv[0] >= to {
 				continue
 			}
-			lo := int((maxF(iv[0], from) - from) / cell)
-			hi := int((minF(iv[1], to) - from) / cell)
+			lo := int((max(iv[0], from) - from) / cell)
+			hi := int((min(iv[1], to) - from) / cell)
 			if hi >= width {
 				hi = width - 1
 			}
@@ -56,18 +56,4 @@ func WriteGantt(w io.Writer, rows []GanttRow, from, to float64, width int) error
 		strings.Repeat(" ", labelW), from,
 		strings.Repeat(" ", max(1, width-len(fmt.Sprintf("%-0.6g", from))-len(fmt.Sprintf("%.6g", to)))), to)
 	return err
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

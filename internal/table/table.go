@@ -246,10 +246,3 @@ func trimFloat(v float64) string {
 	}
 	return s
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
