@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/parallel"
 	"repro/internal/table"
 )
 
@@ -79,46 +78,32 @@ func main() {
 		}
 	}
 
-	// Running and rendering are split so that -parallel can overlap the
-	// simulation work of independent specs while stdout and artifacts are
-	// still emitted strictly in spec order. With -parallel=false each spec
-	// runs inline right before it is rendered (the serial reference mode).
-	type specRun struct {
-		out  experiments.Output
-		took time.Duration
-	}
-	runOne := func(i int) (specRun, error) {
-		start := time.Now()
-		out, err := specs[i].Run(opts)
-		if err != nil {
-			return specRun{}, fmt.Errorf("%s: %w", specs[i].ID, err)
+	// Every spec runs first, on the shared executor, and is rendered
+	// afterwards strictly in spec order. Each Run is wrapped to time it
+	// and to name the spec in its error.
+	took := make([]time.Duration, len(specs))
+	for i := range specs {
+		id, run := specs[i].ID, specs[i].Run
+		specs[i].Run = func(o experiments.Options) (experiments.Output, error) {
+			start := time.Now()
+			out, err := run(o)
+			took[i] = time.Since(start)
+			if err != nil {
+				return out, fmt.Errorf("%s: %w", id, err)
+			}
+			return out, nil
 		}
-		return specRun{out: out, took: time.Since(start)}, nil
 	}
-	var runs []specRun
-	if *par {
-		var err error
-		runs, err = parallel.Map(len(specs), 0, runOne)
-		if err != nil {
-			fatal(err)
-		}
+	outputs, err := experiments.RunAll(specs, opts)
+	if err != nil {
+		fatal(err)
 	}
 
 	failures := 0
 	var svgFiles []string
 	for i, spec := range specs {
 		fmt.Printf("== %s: %s\n", spec.ID, spec.Title)
-		run := specRun{}
-		if *par {
-			run = runs[i]
-		} else {
-			var err error
-			run, err = runOne(i)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		output := run.out
+		output := outputs[i]
 		for _, f := range output.Figures {
 			if *verify {
 				name := filepath.Join(*out, "fig-"+sanitize(f.ID)+".csv")
@@ -126,7 +111,8 @@ func main() {
 				case err == nil:
 					fmt.Printf("  verify %s: OK\n", f.ID)
 				case os.IsNotExist(err):
-					fmt.Printf("  verify %s: no reference (%s), skipped\n", f.ID, name)
+					failures++
+					fmt.Printf("  verify %s: MISSING reference %s\n", f.ID, name)
 				default:
 					failures++
 					fmt.Printf("  verify %s: MISMATCH: %v\n", f.ID, err)
@@ -164,10 +150,10 @@ func main() {
 				}
 			}
 		}
-		fmt.Printf("-- %s done in %v\n\n", spec.ID, run.took.Round(time.Millisecond))
+		fmt.Printf("-- %s done in %v\n\n", spec.ID, took[i].Round(time.Millisecond))
 	}
 	if failures > 0 {
-		fatal(fmt.Errorf("%d figure(s) diverged from their references", failures))
+		fatal(fmt.Errorf("%d figure(s) missing or diverged from their references", failures))
 	}
 	if *svg && len(svgFiles) > 0 {
 		name := filepath.Join(*out, "index.html")

@@ -203,6 +203,11 @@ func TestRejectedFlags(t *testing.T) {
 		{"-k 1", "k = 1"},
 		{"-schedule elevator", `schedule "elevator"`},
 		{"-fault-slowdown 2", "fault flags need -fault-disk"},
+		{"-k 4 -d 2 -n 2 -blocks 20 -fault-disk 0 -fault-slowdown 1e306", "slowdown 1e+306 not in [1, 1e+06]"},
+		{"-k 4 -d 2 -n 2 -blocks 20 -fault-disk 0 -fault-outage 0:inf", "outage 0 [0, +Inf) ms is not finite"},
+		{"-k 4 -d 2 -n 2 -blocks 20 -merge-ms 1e308", "merge time 1e+305s not in [0, 1000s] per block"},
+		{"-merge-ms NaN", "merge time NaNs not in [0, 1000s] per block"},
+		{"-fault-disk 0 -fault-error-prob NaN", "read error probability NaN not in [0, 1]"},
 	}
 	for _, c := range cases {
 		t.Run(c.args, func(t *testing.T) {

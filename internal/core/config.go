@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/disk"
@@ -106,7 +107,8 @@ type Config struct {
 	CacheBlocks int
 
 	// MergeTimePerBlock is the CPU cost of merging one block; zero
-	// models the paper's infinitely fast CPU.
+	// models the paper's infinitely fast CPU. At most
+	// MaxMergeTimePerBlock.
 	MergeTimePerBlock sim.Time
 
 	// MaxSimTime aborts the simulation once the virtual clock passes
@@ -161,6 +163,11 @@ type Config struct {
 	// and RunGrid to run serially.
 	OnRequest func(disk.RequestTrace)
 }
+
+// MaxMergeTimePerBlock caps Config.MergeTimePerBlock. A thousand
+// seconds per block is far past any CPU worth modelling, and larger
+// values can overflow the simulated clock to +Inf.
+const MaxMergeTimePerBlock = 1e6 * sim.Millisecond
 
 // Default returns the paper's base configuration: k=25 runs of 1000
 // blocks on D=5 disks, N=1, no inter-run prefetching, the calibrated
@@ -253,6 +260,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: cache %d blocks < K = %d (one block per run minimum)", c.CacheBlocks, c.K)
 	case c.MergeTimePerBlock < 0:
 		return fmt.Errorf("core: negative merge time %v", c.MergeTimePerBlock)
+	case math.IsNaN(float64(c.MergeTimePerBlock)) || c.MergeTimePerBlock > MaxMergeTimePerBlock:
+		return fmt.Errorf("core: merge time %v not in [0, %v] per block", c.MergeTimePerBlock, MaxMergeTimePerBlock)
 	}
 	longest := 0
 	for r, n := range c.runLengths() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -30,6 +31,8 @@ func TestValidateRejectsInvalidConfigs(t *testing.T) {
 		{"n exceeds run length", func(c *Config) { c.N = 2000; c.CacheBlocks = 80000 }, "N = 2000 exceeds longest run 1000"},
 		{"cache below demand minimum", func(c *Config) { c.CacheBlocks = c.K - 1 }, "cache 24 blocks < K = 25 (one block per run minimum)"},
 		{"negative merge time", func(c *Config) { c.MergeTimePerBlock = sim.Ms(-1) }, "negative merge time"},
+		{"merge time above cap", func(c *Config) { c.MergeTimePerBlock = sim.Ms(1e308) }, "merge time 1e+305s not in [0, 1000s] per block"},
+		{"NaN merge time", func(c *Config) { c.MergeTimePerBlock = sim.Ms(math.NaN()) }, "merge time NaNs not in [0, 1000s] per block"},
 		{"bad disk geometry", func(c *Config) { c.Disk.Geometry.Cylinders = 0 }, "invalid geometry"},
 		{"bad disk block size", func(c *Config) { c.Disk.BlockBytes = 0 }, "BlockBytes = 0"},
 		{"data exceeds disk capacity", func(c *Config) { c.BlocksPerRun = 1 << 20 }, "geometry holds"},
@@ -65,6 +68,12 @@ func TestValidateRejectsInvalidConfigs(t *testing.T) {
 				Outages: []faults.Window{{StartMs: 100, EndMs: 100}},
 			}}}
 		}, "outage 0 ends at 100 ms, not after its start 100 ms"},
+		{"fault slowdown above cap", func(c *Config) {
+			c.Faults = &faults.Spec{Disks: []faults.DiskSpec{{Disk: 0, Slowdown: 1e306}}}
+		}, "slowdown 1e+306 not in [1, 1e+06]"},
+		{"fault endless outage", func(c *Config) {
+			c.Faults = &faults.Spec{Disks: []faults.DiskSpec{{Disk: 0, Outages: []faults.Window{{StartMs: 0, EndMs: math.Inf(1)}}}}}
+		}, "outage 0 [0, +Inf) ms is not finite"},
 		{"fault duplicate disk entries", func(c *Config) {
 			c.Faults = &faults.Spec{Disks: []faults.DiskSpec{{Disk: 2, Slowdown: 2}, {Disk: 2, Slowdown: 3}}}
 		}, "disk 2 out of order"},
@@ -96,6 +105,10 @@ func TestValidateAcceptsBoundaryConfigs(t *testing.T) {
 		{"cache exactly k", func(c *Config) { c.CacheBlocks = c.K }},
 		{"d equals k", func(c *Config) { c.D = c.K }},
 		{"n equals run length", func(c *Config) { c.N = c.BlocksPerRun; c.CacheBlocks = c.K * c.N }},
+		{"merge time at cap", func(c *Config) { c.MergeTimePerBlock = MaxMergeTimePerBlock }},
+		{"fault slowdown at cap", func(c *Config) {
+			c.Faults = &faults.Spec{Disks: []faults.DiskSpec{{Disk: 0, Slowdown: faults.MaxSlowdown}}}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

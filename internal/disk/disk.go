@@ -448,23 +448,13 @@ func (d *Disk) startNext() {
 	// before scheduling its successor, so successors inherit the same
 	// relative order at the next instant. The thunks read d.cur at fire
 	// time; only one request is ever in service, and d.cur is not
-	// cleared until its last block has been delivered.
-	//
-	// Degenerate zero-cost transfers (tpb <= 0) collapse all deliveries
-	// onto one instant, where chained events would interleave with
-	// unrelated same-instant work that an up-front schedule precedes;
-	// keep the up-front loop for that case so ordering is unchanged.
+	// cleared until its last block has been delivered. tpb is positive
+	// (New validates TransferPerBlock > 0 and a slowdown only scales it
+	// up), so a request's deliveries never share an instant.
 	d.cur = req
 	d.growBlockFns(req.Count)
-	if tpb > 0 {
-		d.svcStart, d.svcBase, d.svcTpb = now, seek+rot+retryTime, tpb
-		d.k.At(now+(seek+rot+retryTime+sim.Time(1)*tpb), d.blockFns[0])
-		return
-	}
-	d.svcTpb = 0 // deliver must not chain for an up-front-scheduled request
-	for i := 0; i < req.Count; i++ {
-		d.k.After(seek+rot+retryTime+sim.Time(i+1)*tpb, d.blockFns[i])
-	}
+	d.svcStart, d.svcBase, d.svcTpb = now, seek+rot+retryTime, tpb
+	d.k.At(now+(seek+rot+retryTime+sim.Time(1)*tpb), d.blockFns[0])
 }
 
 // growBlockFns extends the delivery-thunk table to cover n blocks.
@@ -479,7 +469,7 @@ func (d *Disk) growBlockFns(n int) {
 // callback and — after the last block — the next dispatch.
 func (d *Disk) deliver(i int) {
 	req := d.cur
-	if i+1 < req.Count && d.svcTpb > 0 {
+	if i+1 < req.Count {
 		d.k.At(d.svcStart+(d.svcBase+sim.Time(i+2)*d.svcTpb), d.blockFns[i+1])
 	}
 	if req.OnBlock != nil {

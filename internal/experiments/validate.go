@@ -6,6 +6,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/parallel"
+	"repro/internal/sim"
 	"repro/internal/table"
 )
 
@@ -18,78 +19,40 @@ func anchors(o Options) (Output, error) {
 		Columns: []string{"case", "equation", "analytic", "simulated", "rel err"},
 	}
 
-	type anchorCase struct {
-		name     string
-		eq       string
-		analytic float64
-		cfg      core.Config
+	// Every case merges k runs of the default 1000 blocks; perBlock
+	// scales one of the paper's per-block equations to that whole merge.
+	def := core.Default()
+	perBlock := func(eq func(analysis.Model) sim.Time) func(analysis.Model) sim.Time {
+		return func(m analysis.Model) sim.Time { return m.TotalTime(eq(m), def.BlocksPerRun) }
 	}
-
-	mk := func(k, d, n int, inter, sync bool) core.Config {
-		cfg := strategyConfig(inter, k, d, n)
-		cfg.Synchronized = sync
-		return cfg
-	}
-	model := func(k, d, n int) analysis.Model {
-		cfg := core.Default()
-		return analysis.FromConfig(cfg.Disk, k, d, n, cfg.BlocksPerRun)
-	}
-
-	cases := []anchorCase{
-		{
-			name: "no prefetch, k=25, D=1", eq: "eq 1",
-			analytic: model(25, 1, 1).TotalTime(model(25, 1, 1).Eq1NoPrefetchSingleDisk(), 1000).Seconds(),
-			cfg:      mk(25, 1, 1, false, false),
-		},
-		{
-			name: "no prefetch, k=50, D=1", eq: "eq 1",
-			analytic: model(50, 1, 1).TotalTime(model(50, 1, 1).Eq1NoPrefetchSingleDisk(), 1000).Seconds(),
-			cfg:      mk(50, 1, 1, false, false),
-		},
-		{
-			name: "intra N=10, k=25, D=1", eq: "eq 2",
-			analytic: model(25, 1, 10).TotalTime(model(25, 1, 10).Eq2IntraSingleDisk(), 1000).Seconds(),
-			cfg:      mk(25, 1, 10, false, false),
-		},
-		{
-			name: "intra N=10, k=50, D=1", eq: "eq 2",
-			analytic: model(50, 1, 10).TotalTime(model(50, 1, 10).Eq2IntraSingleDisk(), 1000).Seconds(),
-			cfg:      mk(50, 1, 10, false, false),
-		},
-		{
-			name: "no prefetch, k=25, D=5", eq: "eq 3",
-			analytic: model(25, 5, 1).TotalTime(model(25, 5, 1).Eq3NoPrefetchMultiDisk(), 1000).Seconds(),
-			cfg:      mk(25, 5, 1, false, false),
-		},
-		{
-			name: "no prefetch, k=50, D=10", eq: "eq 3",
-			analytic: model(50, 10, 1).TotalTime(model(50, 10, 1).Eq3NoPrefetchMultiDisk(), 1000).Seconds(),
-			cfg:      mk(50, 10, 1, false, false),
-		},
-		{
-			name: "sync intra N=10, k=25, D=5", eq: "eq 4",
-			analytic: model(25, 5, 10).TotalTime(model(25, 5, 10).Eq4IntraMultiDiskSync(), 1000).Seconds(),
-			cfg:      mk(25, 5, 10, false, true),
-		},
-		{
-			name: "sync inter N=10, k=25, D=5", eq: "eq 5",
-			analytic: model(25, 5, 10).TotalTime(model(25, 5, 10).Eq5InterMultiDiskSync(), 1000).Seconds(),
-			cfg:      mk(25, 5, 10, true, true),
-		},
-		{
-			name: "unsync intra N=30, k=25, D=5 (asymptotic)", eq: "eq4/urn",
-			analytic: model(25, 5, 30).IntraUnsyncAsymptotic(1000).Seconds(),
-			cfg:      mk(25, 5, 30, false, false),
-		},
+	cases := []struct {
+		name, eq    string
+		k, d, n     int
+		inter, sync bool
+		total       func(analysis.Model) sim.Time
+	}{
+		{"no prefetch, k=25, D=1", "eq 1", 25, 1, 1, false, false, perBlock(analysis.Model.Eq1NoPrefetchSingleDisk)},
+		{"no prefetch, k=50, D=1", "eq 1", 50, 1, 1, false, false, perBlock(analysis.Model.Eq1NoPrefetchSingleDisk)},
+		{"intra N=10, k=25, D=1", "eq 2", 25, 1, 10, false, false, perBlock(analysis.Model.Eq2IntraSingleDisk)},
+		{"intra N=10, k=50, D=1", "eq 2", 50, 1, 10, false, false, perBlock(analysis.Model.Eq2IntraSingleDisk)},
+		{"no prefetch, k=25, D=5", "eq 3", 25, 5, 1, false, false, perBlock(analysis.Model.Eq3NoPrefetchMultiDisk)},
+		{"no prefetch, k=50, D=10", "eq 3", 50, 10, 1, false, false, perBlock(analysis.Model.Eq3NoPrefetchMultiDisk)},
+		{"sync intra N=10, k=25, D=5", "eq 4", 25, 5, 10, false, true, perBlock(analysis.Model.Eq4IntraMultiDiskSync)},
+		{"sync inter N=10, k=25, D=5", "eq 5", 25, 5, 10, true, true, perBlock(analysis.Model.Eq5InterMultiDiskSync)},
+		{"unsync intra N=30, k=25, D=5 (asymptotic)", "eq4/urn", 25, 5, 30, false, false,
+			func(m analysis.Model) sim.Time { return m.IntraUnsyncAsymptotic(def.BlocksPerRun) }},
 	}
 
 	g := newGrid(o)
 	for _, c := range cases {
-		g.add(c.cfg, func(a core.Aggregate) {
+		analytic := c.total(analysis.FromConfig(def.Disk, c.k, c.d, c.n, def.BlocksPerRun)).Seconds()
+		cfg := strategyConfig(c.inter, c.k, c.d, c.n)
+		cfg.Synchronized = c.sync
+		g.add(cfg, func(a core.Aggregate) {
 			secs := a.TotalTime.Mean()
-			rel := (secs - c.analytic) / c.analytic
+			rel := (secs - analytic) / analytic
 			t.AddRow(c.name, c.eq,
-				fmt.Sprintf("%.2f", c.analytic),
+				fmt.Sprintf("%.2f", analytic),
 				fmt.Sprintf("%.2f", secs),
 				fmt.Sprintf("%+.1f%%", 100*rel))
 		})

@@ -18,6 +18,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -28,6 +29,11 @@ import (
 // is zero: a request that still errors after this many re-reads makes
 // the disk unreadable and aborts the merge with ErrUnreadable.
 const DefaultMaxRetries = 3
+
+// MaxSlowdown caps DiskSpec.Slowdown. At 1e6 a 1 ms transfer already
+// takes over 16 minutes; far larger factors overflow the simulated
+// clock to +Inf.
+const MaxSlowdown = 1e6
 
 // ErrUnreadable reports that a disk exhausted its re-read budget on a
 // request: the merge cannot complete because one of its runs is no
@@ -67,7 +73,7 @@ type DiskSpec struct {
 
 	// Slowdown multiplies the disk's service time (seek, rotation and
 	// transfer alike) — the fail-slow model. 0 means no slowdown;
-	// otherwise it must be >= 1.
+	// otherwise it must be in [1, MaxSlowdown].
 	Slowdown float64
 
 	// SlowdownAtMs is the simulated instant the slowdown phases in;
@@ -122,10 +128,17 @@ func (s *Spec) Validate(d int) error {
 		if ds.Slowdown != 0 && ds.Slowdown < 1 {
 			return fmt.Errorf("faults: disk %d: slowdown %v < 1 (a fail-slow disk cannot be faster)", ds.Disk, ds.Slowdown)
 		}
+		if math.IsNaN(ds.Slowdown) || ds.Slowdown > MaxSlowdown {
+			return fmt.Errorf("faults: disk %d: slowdown %v not in [1, %g]", ds.Disk, ds.Slowdown, MaxSlowdown)
+		}
 		if ds.SlowdownAtMs < 0 {
 			return fmt.Errorf("faults: disk %d: slowdown_at_ms %v is negative", ds.Disk, ds.SlowdownAtMs)
 		}
-		if ds.ReadErrorProb < 0 || ds.ReadErrorProb > 1 {
+		if !finite(ds.SlowdownAtMs) {
+			return fmt.Errorf("faults: disk %d: slowdown_at_ms %v is not finite", ds.Disk, ds.SlowdownAtMs)
+		}
+		// Written so that NaN, which fails every comparison, is out of range.
+		if !(ds.ReadErrorProb >= 0 && ds.ReadErrorProb <= 1) {
 			return fmt.Errorf("faults: disk %d: read error probability %v not in [0, 1]", ds.Disk, ds.ReadErrorProb)
 		}
 		if ds.MaxRetries < 0 {
@@ -142,11 +155,17 @@ func (s *Spec) Validate(d int) error {
 			if j > 0 && w.StartMs < prevEnd {
 				return fmt.Errorf("faults: disk %d: outage windows overlap at %v ms (windows must be ascending and disjoint)", ds.Disk, w.StartMs)
 			}
+			if !finite(w.StartMs) || !finite(w.EndMs) {
+				return fmt.Errorf("faults: disk %d: outage %d [%v, %v) ms is not finite", ds.Disk, j, w.StartMs, w.EndMs)
+			}
 			prevEnd = w.EndMs
 		}
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Injector is the runtime form of a Spec: one DiskInjector per faulted
 // disk, each with its own split of the fault RNG stream so error draws

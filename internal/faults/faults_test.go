@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -29,6 +30,14 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"empty outage", Spec{Disks: []DiskSpec{{Disk: 0, Outages: []Window{{StartMs: 5, EndMs: 5}}}}}, 5, "outage 0 ends at 5 ms"},
 		{"inverted outage", Spec{Disks: []DiskSpec{{Disk: 0, Outages: []Window{{StartMs: 5, EndMs: 2}}}}}, 5, "outage 0 ends at 2 ms"},
 		{"overlapping outages", Spec{Disks: []DiskSpec{{Disk: 0, Outages: []Window{{StartMs: 0, EndMs: 10}, {StartMs: 9, EndMs: 20}}}}}, 5, "outage windows overlap at 9 ms"},
+		{"slowdown above cap", Spec{Disks: []DiskSpec{{Disk: 0, Slowdown: 1e306}}}, 5, "slowdown 1e+306 not in [1, 1e+06]"},
+		{"infinite slowdown", Spec{Disks: []DiskSpec{{Disk: 0, Slowdown: math.Inf(1)}}}, 5, "slowdown +Inf not in [1, 1e+06]"},
+		{"NaN slowdown", Spec{Disks: []DiskSpec{{Disk: 0, Slowdown: math.NaN()}}}, 5, "slowdown NaN not in [1, 1e+06]"},
+		{"infinite slowdown onset", Spec{Disks: []DiskSpec{{Disk: 0, Slowdown: 2, SlowdownAtMs: math.Inf(1)}}}, 5, "slowdown_at_ms +Inf is not finite"},
+		{"NaN slowdown onset", Spec{Disks: []DiskSpec{{Disk: 0, Slowdown: 2, SlowdownAtMs: math.NaN()}}}, 5, "slowdown_at_ms NaN is not finite"},
+		{"NaN probability", Spec{Disks: []DiskSpec{{Disk: 0, ReadErrorProb: math.NaN()}}}, 5, "read error probability NaN not in [0, 1]"},
+		{"endless outage", Spec{Disks: []DiskSpec{{Disk: 0, Outages: []Window{{StartMs: 0, EndMs: math.Inf(1)}}}}}, 5, "outage 0 [0, +Inf) ms is not finite"},
+		{"NaN outage start", Spec{Disks: []DiskSpec{{Disk: 0, Outages: []Window{{StartMs: math.NaN(), EndMs: 5}}}}}, 5, "outage 0 [NaN, 5) ms is not finite"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,6 +60,7 @@ func TestValidateAcceptsHealthyAndBoundarySpecs(t *testing.T) {
 		{"empty", Spec{}},
 		{"zero-value disk entry", Spec{Disks: []DiskSpec{{Disk: 0}}}},
 		{"slowdown exactly one", Spec{Disks: []DiskSpec{{Disk: 0, Slowdown: 1}}}},
+		{"slowdown at cap", Spec{Disks: []DiskSpec{{Disk: 0, Slowdown: MaxSlowdown}}}},
 		{"probability bounds", Spec{Disks: []DiskSpec{{Disk: 0, ReadErrorProb: 1}, {Disk: 1}}}},
 		{"adjacent outages", Spec{Disks: []DiskSpec{{Disk: 3, Outages: []Window{{StartMs: 0, EndMs: 10}, {StartMs: 10, EndMs: 20}}}}}},
 		{"all disks faulted", Spec{Disks: []DiskSpec{{Disk: 0}, {Disk: 1}, {Disk: 2}, {Disk: 3}, {Disk: 4}}}},

@@ -1,11 +1,7 @@
 package plan
 
 import (
-	"fmt"
-	"math"
-
 	"repro/internal/core"
-	"repro/internal/disk"
 	"repro/internal/sim"
 )
 
@@ -25,98 +21,38 @@ import (
 //
 // The returned plan's pass estimates are the scaled probe results.
 func BuildCalibrated(job Job, seed uint64) (Plan, error) {
-	if job.Disk.BlockBytes == 0 {
-		job.Disk = defaultDisk()
-	}
-	if err := job.Validate(); err != nil {
-		return Plan{}, err
-	}
-	initialRuns := int((job.TotalBlocks + int64(job.MemoryBlocks) - 1) / int64(job.MemoryBlocks))
-	plan := Plan{Job: job, InitialRuns: initialRuns}
-	seq := job.Disk.TransferPerBlock * sim.Time(job.TotalBlocks)
-	plan.FormationTime = 2 * seq / sim.Time(job.D)
-	if initialRuns <= 1 {
-		return plan, nil
-	}
+	probes := &probeCache{seed: seed, rates: make(map[probeKey]sim.Time)}
+	return schedule(job, calibratedCandidates, probes.rate)
+}
 
+// calibratedCandidates lists intra-run, then inter-run when the job
+// allows it, at a fixed ladder of depths. The probes measure the
+// success ratio instead of assuming it, so each fan-in is the largest
+// whose kN (+ DN for inter-run) working set fits the whole cache.
+func calibratedCandidates(job Job) []candidate {
 	strategies := []bool{false}
 	if job.InterRun {
 		strategies = []bool{false, true}
 	}
-
-	type candidate struct {
-		n, fanIn int
-		inter    bool
-		total    sim.Time
-	}
-	best := candidate{total: sim.Time(math.Inf(1))}
-	probes := newProbeCache(job, seed)
+	var cands []candidate
 	c := job.MemoryBlocks
 	for _, inter := range strategies {
 		for _, n := range []int{1, 2, 4, 8, 16, 24, 32} {
-			if n > c {
-				break
-			}
 			fanIn := c / n
 			if inter {
 				fanIn = (c - job.D*n) / n
 			}
-			if fanIn < 2 {
-				continue
-			}
-			if fanIn > initialRuns {
-				fanIn = initialRuns
-			}
-			total, err := probes.schedule(initialRuns, fanIn, n, inter)
-			if err != nil {
-				return Plan{}, err
-			}
-			if total < best.total {
-				best = candidate{n: n, fanIn: fanIn, inter: inter, total: total}
+			if fanIn >= 2 {
+				cands = append(cands, candidate{n: n, fanIn: fanIn, inter: inter})
 			}
 		}
 	}
-	if best.n == 0 {
-		return Plan{}, fmt.Errorf("plan: memory %d too small for any merge fan-in", c)
-	}
-
-	runs := initialRuns
-	runBlocks := (job.TotalBlocks + int64(initialRuns) - 1) / int64(initialRuns)
-	idx := 0
-	for runs > 1 {
-		f := best.fanIn
-		if f > runs {
-			f = runs
-		}
-		rate, err := probes.rate(f, best.n, best.inter, runBlocks)
-		if err != nil {
-			return Plan{}, err
-		}
-		merges := (runs + f - 1) / f
-		p := Pass{
-			Index:       idx,
-			RunsIn:      runs,
-			FanIn:       f,
-			Merges:      merges,
-			RunsOut:     merges,
-			RunBlocksIn: runBlocks,
-			N:           best.n,
-			InterRun:    best.inter,
-			Estimated:   sim.Time(float64(rate) * float64(job.TotalBlocks)),
-		}
-		plan.Passes = append(plan.Passes, p)
-		plan.Estimated += p.Estimated
-		runs = merges
-		runBlocks *= int64(f)
-		idx++
-	}
-	return plan, nil
+	return cands
 }
 
 // probeCache memoizes per-block merge rates measured by short
 // simulations, keyed by pass shape.
 type probeCache struct {
-	job   Job
 	seed  uint64
 	rates map[probeKey]sim.Time
 }
@@ -126,79 +62,23 @@ type probeKey struct {
 	inter            bool
 }
 
-func newProbeCache(job Job, seed uint64) *probeCache {
-	return &probeCache{job: job, seed: seed, rates: make(map[probeKey]sim.Time)}
-}
-
-// schedule scores the whole multi-pass schedule of a candidate.
-func (pc *probeCache) schedule(initialRuns, fanIn, n int, inter bool) (sim.Time, error) {
-	var total sim.Time
-	runs := initialRuns
-	runBlocks := (pc.job.TotalBlocks + int64(initialRuns) - 1) / int64(initialRuns)
-	for runs > 1 {
-		f := fanIn
-		if f > runs {
-			f = runs
-		}
-		rate, err := pc.rate(f, n, inter, runBlocks)
-		if err != nil {
-			return 0, err
-		}
-		total += sim.Time(float64(rate) * float64(pc.job.TotalBlocks))
-		runs = (runs + f - 1) / f
-		runBlocks *= int64(f)
-	}
-	return total, nil
-}
-
 // probeLength picks the simulated run length for a pass of fanIn runs
 // of passLen blocks: long enough to reach the cache's steady state
 // (inter-run degradation develops over thousands of blocks), short
 // enough to keep the probe affordable, and within the disk geometry.
-func (pc *probeCache) probeLength(fanIn int, passLen int64) int {
+func (j Job) probeLength(fanIn int, passLen int64) int {
 	const budget = 300_000 // total probe blocks
-	length := int(passLen)
-	if byBudget := budget / fanIn; length > byBudget {
-		length = byBudget
-	}
-	d := pc.job.D
-	if d > fanIn {
-		d = fanIn
-	}
-	perDisk := (fanIn + d - 1) / d
-	if byGeom := pc.job.Disk.CapacityBlocks() / perDisk; length > byGeom {
-		length = byGeom
-	}
-	if length < 50 {
-		length = 50
-	}
-	return length
+	return max(min(int(passLen), budget/fanIn, j.maxRunBlocks(fanIn)), 50)
 }
 
 // rate measures (or recalls) the per-block rate of one pass shape.
-func (pc *probeCache) rate(fanIn, n int, inter bool, passLen int64) (sim.Time, error) {
-	length := pc.probeLength(fanIn, passLen)
+func (pc *probeCache) rate(job Job, fanIn, n int, inter bool, passLen int64) (sim.Time, error) {
+	length := job.probeLength(fanIn, passLen)
 	key := probeKey{fanIn: fanIn, n: n, length: length, inter: inter}
 	if r, ok := pc.rates[key]; ok {
 		return r, nil
 	}
-	d := pc.job.D
-	if d > fanIn {
-		d = fanIn
-	}
-	cfg := core.Default()
-	cfg.K = fanIn
-	cfg.D = d
-	cfg.BlocksPerRun = length
-	cfg.N = n
-	if n > length {
-		cfg.N = length
-	}
-	cfg.InterRun = inter
-	cfg.Disk = pc.job.Disk
-	cfg.CacheBlocks = pc.job.MemoryBlocks
-	cfg.Seed = pc.seed
-	res, err := core.Run(cfg)
+	res, err := core.Run(job.passConfig(fanIn, min(n, length), length, inter, pc.seed))
 	if err != nil {
 		return 0, err
 	}
@@ -207,6 +87,3 @@ func (pc *probeCache) rate(fanIn, n int, inter bool, passLen int64) (sim.Time, e
 	pc.rates[key] = r
 	return r, nil
 }
-
-// defaultDisk returns the paper's calibrated drive parameters.
-func defaultDisk() disk.Params { return disk.PaperParams() }

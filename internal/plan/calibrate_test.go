@@ -93,18 +93,18 @@ func TestBuildCalibratedValidation(t *testing.T) {
 }
 
 func TestProbeLengthBounds(t *testing.T) {
-	pc := newProbeCache(job(1<<30, 1024, 5, true), 1)
+	j := job(1<<30, 1024, 5, true)
 	// Huge pass length: bounded by budget/geometry.
-	l := pc.probeLength(1000, 1<<40)
+	l := j.probeLength(1000, 1<<40)
 	if l > 300 || l < 50 {
 		t.Fatalf("probe length for 1000 runs = %d", l)
 	}
 	// Small pass length: probe uses it directly.
-	if got := pc.probeLength(10, 120); got != 120 {
+	if got := j.probeLength(10, 120); got != 120 {
 		t.Fatalf("short-pass probe length = %d", got)
 	}
 	// Never below the floor.
-	if got := pc.probeLength(100000, 1<<40); got < 50 {
+	if got := j.probeLength(100000, 1<<40); got < 50 {
 		t.Fatalf("probe floor violated: %d", got)
 	}
 }

@@ -4,8 +4,9 @@
 // passes, with the merge order (fan-in) limited by the cache: a fan-in
 // of k with prefetch depth N needs roughly kN blocks of cache, plus DN
 // for inter-run batches. This package searches (N, fan-in) pairs for
-// the cheapest plan under the paper's analytic expressions, and can
-// validate any pass against the simulator.
+// the cheapest plan, pricing each pass with the paper's analytic
+// expressions (Build) or with short simulations (BuildCalibrated), and
+// can validate any pass against the simulator.
 package plan
 
 import (
@@ -81,30 +82,66 @@ type Plan struct {
 	FormationTime sim.Time
 }
 
-// passTime estimates one pass analytically: merging groups of fanIn
-// runs with depth N, every data block is read once at the per-block
-// rate of the paper's equations (eq 5 for inter-run, eq 4 for
-// intra-run, both synchronized — a deliberately conservative bound).
-func passTime(job Job, fanIn, n int, blocks int64) sim.Time {
-	d := job.D
-	if d > fanIn {
-		d = fanIn
-	}
-	m := analysis.FromConfig(job.Disk, fanIn, d, n, int(min(int64(job.MemoryBlocks), blocks)))
-	// The analytic per-block rate uses m = run length in cylinders;
-	// recompute with the true run length for this pass.
-	m.M = float64(blocks) / float64(fanIn) / float64(job.Disk.BlocksPerCylinder())
-	var perBlock sim.Time
-	if job.InterRun {
-		perBlock = m.Eq5InterMultiDiskSync()
-	} else {
-		perBlock = m.Eq4IntraMultiDiskSync()
-	}
-	return perBlock * sim.Time(blocks)
+// candidate is one point of a planner's search: merge every pass at
+// prefetch depth n with up to fanIn runs per group, inter-run or not.
+type candidate struct {
+	n, fanIn int
+	inter    bool
 }
 
-// Build searches prefetch depths and fan-ins for the cheapest plan.
+// rateFunc prices one pass of job: the per-block time of merging
+// groups of fanIn runs of runBlocks blocks each at depth n.
+type rateFunc func(job Job, fanIn, n int, inter bool, runBlocks int64) (sim.Time, error)
+
+// Build searches prefetch depths and fan-ins for the cheapest plan,
+// pricing every pass with the paper's closed forms.
 func Build(job Job) (Plan, error) {
+	return schedule(job, analyticCandidates, passRate)
+}
+
+// analyticCandidates lists one candidate per depth N, at the largest
+// fan-in the cache holds. Intra-run prefetching needs exactly kN
+// blocks (the paper shows kN is necessary and sufficient for a success
+// ratio of 1). Inter-run refills land on random runs, so per-run
+// buffers random-walk well above their mean; measured against the
+// figure-3.6 sweeps, the success ratio saturates near c ≈ 4·(kN + DN),
+// and passRate assumes a saturated ratio, so the planner stays inside
+// that region.
+func analyticCandidates(job Job) []candidate {
+	var cands []candidate
+	c := job.MemoryBlocks
+	for n := 1; n <= c; n++ {
+		fanIn := c / n
+		if job.InterRun {
+			fanIn = (c/4 - job.D*n) / n
+		}
+		if fanIn < 2 {
+			break
+		}
+		cands = append(cands, candidate{n: n, fanIn: fanIn, inter: job.InterRun})
+	}
+	return cands
+}
+
+// passRate prices one pass analytically: every data block is read at
+// the per-block rate of the paper's equations (eq 5 for inter-run, eq 4
+// for intra-run, both synchronized — a deliberately conservative
+// bound), with the model's run length m set to the data size over the
+// fan-in, in cylinders.
+func passRate(job Job, fanIn, n int, inter bool, _ int64) (sim.Time, error) {
+	m := analysis.FromConfig(job.Disk, fanIn, min(job.D, fanIn), n, 0)
+	m.M = float64(job.TotalBlocks) / float64(fanIn) / float64(job.Disk.BlocksPerCylinder())
+	if inter {
+		return m.Eq5InterMultiDiskSync(), nil
+	}
+	return m.Eq4IntraMultiDiskSync(), nil
+}
+
+// schedule fills in the paper's drive when job.Disk is zero, validates
+// the job, prices every candidate's whole multi-pass schedule with rate
+// and returns the cheapest; the first of equally cheap candidates
+// wins. Candidates are listed only when the job needs a merge.
+func schedule(job Job, candidates func(Job) []candidate, rate rateFunc) (Plan, error) {
 	if job.Disk.BlockBytes == 0 {
 		job.Disk = disk.PaperParams()
 	}
@@ -121,88 +158,54 @@ func Build(job Job) (Plan, error) {
 	if initialRuns <= 1 {
 		return plan, nil // already sorted after formation
 	}
-
-	best := sim.Time(math.Inf(1))
-	bestN := 0
-	c := job.MemoryBlocks
-	for n := 1; n <= c; n++ {
-		fanIn := maxFanIn(job, c, n)
-		if fanIn < 2 {
-			break
+	plan.Estimated = sim.Time(math.Inf(1))
+	for _, cand := range candidates(job) {
+		passes, total, err := walk(job, initialRuns, cand, rate)
+		if err != nil {
+			return Plan{}, err
 		}
-		if fanIn > initialRuns {
-			fanIn = initialRuns
-		}
-		total := estimateSchedule(job, initialRuns, fanIn, n)
-		if total < best {
-			best = total
-			bestN = n
+		if total < plan.Estimated {
+			plan.Passes, plan.Estimated = passes, total
 		}
 	}
-	if bestN == 0 {
-		return Plan{}, fmt.Errorf("plan: memory %d too small for any merge fan-in", c)
+	if plan.Passes == nil {
+		return Plan{}, fmt.Errorf("plan: memory %d too small for any merge fan-in", job.MemoryBlocks)
 	}
+	return plan, nil
+}
 
-	// Materialize the chosen schedule.
-	fanIn := maxFanIn(job, c, bestN)
+// walk lays out the passes that merge initialRuns runs down to one
+// under cand, pricing each with rate, and returns them with their
+// total. All groups of a pass together read every data block once.
+func walk(job Job, initialRuns int, cand candidate, rate rateFunc) ([]Pass, sim.Time, error) {
+	var passes []Pass
+	var total sim.Time
 	runs := initialRuns
 	runBlocks := (job.TotalBlocks + int64(initialRuns) - 1) / int64(initialRuns)
-	idx := 0
 	for runs > 1 {
-		f := fanIn
-		if f > runs {
-			f = runs
+		f := min(cand.fanIn, runs)
+		perBlock, err := rate(job, f, cand.n, cand.inter, runBlocks)
+		if err != nil {
+			return nil, 0, err
 		}
 		merges := (runs + f - 1) / f
 		p := Pass{
-			Index:       idx,
+			Index:       len(passes),
 			RunsIn:      runs,
 			FanIn:       f,
 			Merges:      merges,
 			RunsOut:     merges,
 			RunBlocksIn: runBlocks,
-			N:           bestN,
-			InterRun:    job.InterRun,
-			Estimated:   passTime(job, f, bestN, job.TotalBlocks),
+			N:           cand.n,
+			InterRun:    cand.inter,
+			Estimated:   sim.Time(float64(perBlock) * float64(job.TotalBlocks)),
 		}
-		plan.Passes = append(plan.Passes, p)
-		plan.Estimated += p.Estimated
+		passes = append(passes, p)
+		total += p.Estimated
 		runs = merges
 		runBlocks *= int64(f)
-		idx++
 	}
-	return plan, nil
-}
-
-// maxFanIn bounds the merge order for a cache of c blocks at depth n.
-// Intra-run prefetching needs exactly kN blocks (the paper shows kN is
-// necessary and sufficient for a success ratio of 1). Inter-run
-// refills land on random runs, so per-run buffers random-walk well
-// above their mean; measured against the figure-3.6 sweeps, the
-// success ratio saturates near c ≈ 4·(kN + DN), and the planner's
-// analytic pass estimates assume a saturated ratio, so it plans inside
-// that region.
-func maxFanIn(job Job, c, n int) int {
-	if job.InterRun {
-		return (c/4 - job.D*n) / n
-	}
-	return c / n
-}
-
-// estimateSchedule returns the analytic total of merging initialRuns
-// runs with the given fan-in and depth.
-func estimateSchedule(job Job, initialRuns, fanIn, n int) sim.Time {
-	var total sim.Time
-	runs := initialRuns
-	for runs > 1 {
-		f := fanIn
-		if f > runs {
-			f = runs
-		}
-		total += passTime(job, f, n, job.TotalBlocks)
-		runs = (runs + f - 1) / f
-	}
-	return total
+	return passes, total, nil
 }
 
 // Passes returns the number of merge passes.
@@ -237,31 +240,12 @@ func (p Plan) SimulatePass(i int, seed uint64) (sim.Time, core.Result, error) {
 		return 0, core.Result{}, fmt.Errorf("plan: pass %d of %d", i, len(p.Passes))
 	}
 	pass := p.Passes[i]
-	d := p.Job.D
-	if d > pass.FanIn {
-		d = pass.FanIn
-	}
-
-	runBlocks := pass.RunBlocksIn
-	// Cap the simulated group so ⌈fanIn/D⌉ runs fit one disk. Shorter
-	// simulated runs shorten seeks a little, so the scaled estimate is
-	// marginally optimistic for very long runs; the transfer-dominated
-	// regimes the planner picks make this a second-order effect.
-	perDisk := (pass.FanIn + d - 1) / d
-	maxRun := int64(p.Job.Disk.CapacityBlocks() / perDisk)
-	if runBlocks > maxRun {
-		runBlocks = maxRun
-	}
-
-	cfg := core.Default()
-	cfg.K = pass.FanIn
-	cfg.D = d
-	cfg.BlocksPerRun = int(runBlocks)
-	cfg.N = pass.N
-	cfg.InterRun = pass.InterRun
-	cfg.Disk = p.Job.Disk
-	cfg.CacheBlocks = p.Job.MemoryBlocks
-	cfg.Seed = seed
+	// Cap the simulated group to the disk geometry. Shorter simulated
+	// runs shorten seeks a little, so the scaled estimate is marginally
+	// optimistic for very long runs; the transfer-dominated regimes the
+	// planner picks make this a second-order effect.
+	runBlocks := min(pass.RunBlocksIn, int64(p.Job.maxRunBlocks(pass.FanIn)))
+	cfg := p.Job.passConfig(pass.FanIn, pass.N, int(runBlocks), pass.InterRun, seed)
 	res, err := core.Run(cfg)
 	if err != nil {
 		return 0, core.Result{}, err
@@ -270,4 +254,27 @@ func (p Plan) SimulatePass(i int, seed uint64) (sim.Time, core.Result, error) {
 	// together process every data block exactly once.
 	perBlock := float64(res.TotalTime) / float64(res.MergedBlocks)
 	return sim.Time(perBlock * float64(p.Job.TotalBlocks)), res, nil
+}
+
+// maxRunBlocks is the longest run a simulated group of fanIn runs can
+// have: ⌈fanIn/D⌉ of them share one disk's geometry.
+func (j Job) maxRunBlocks(fanIn int) int {
+	d := min(j.D, fanIn)
+	return j.Disk.CapacityBlocks() / ((fanIn + d - 1) / d)
+}
+
+// passConfig is the simulated merge group of one pass: fanIn runs of
+// runBlocks blocks on min(D, fanIn) disks at depth n, with the job's
+// memory as the cache.
+func (j Job) passConfig(fanIn, n, runBlocks int, inter bool, seed uint64) core.Config {
+	cfg := core.Default()
+	cfg.K = fanIn
+	cfg.D = min(j.D, fanIn)
+	cfg.BlocksPerRun = runBlocks
+	cfg.N = n
+	cfg.InterRun = inter
+	cfg.Disk = j.Disk
+	cfg.CacheBlocks = j.MemoryBlocks
+	cfg.Seed = seed
+	return cfg
 }

@@ -67,7 +67,7 @@ func TestPanicRecovery(t *testing.T) {
 // TestFaultRequestsRejected pins the HTTP 400 path for invalid fault
 // specs: the validation text reaches the client verbatim.
 func TestFaultRequestsRejected(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
+	svc, ts := newTestServer(t, Options{})
 	cases := []struct {
 		name    string
 		body    string
@@ -92,6 +92,13 @@ func TestFaultRequestsRejected(t *testing.T) {
 			"overlapping outages",
 			`{"faults": [{"disk": 1, "outages": [{"start_ms": 0, "end_ms": 100}, {"start_ms": 50, "end_ms": 150}]}]}`,
 			"outage windows overlap at 50 ms",
+		},
+		{
+			// Large enough to overflow the simulated clock: refused
+			// at validation, never reaching the engine.
+			"slowdown above cap",
+			`{"k":4,"d":2,"n":2,"blocks_per_run":20,"faults":[{"disk":0,"slowdown":1e306}]}`,
+			"slowdown 1e+306 not in [1, 1e+06]",
 		},
 		{
 			"unknown fault field",
@@ -120,6 +127,9 @@ func TestFaultRequestsRejected(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", e.Error, tc.wantSub)
 			}
 		})
+	}
+	if p := svc.met.panicsSnapshot(); p != 0 {
+		t.Fatalf("simd_panics_total = %d after rejected requests, want 0", p)
 	}
 }
 

@@ -51,6 +51,25 @@ func (h *hist) observe(v float64) {
 	h.inf++
 }
 
+// write renders h as the _bucket, _sum and _count series of a
+// Prometheus histogram family; labels is the series' label list
+// without braces, "" for none.
+func (h *hist) write(w io.Writer, family, labels string) {
+	le, set := "", ""
+	if labels != "" {
+		le, set = labels+",", "{"+labels+"}"
+	}
+	var cum int64
+	for i, ub := range h.buckets {
+		cum += h.counts[i]
+		fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", family, le, ub, cum)
+	}
+	cum += h.inf
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", family, le, cum)
+	fmt.Fprintf(w, "%s_sum%s %g\n", family, set, h.sum)
+	fmt.Fprintf(w, "%s_count%s %d\n", family, set, h.count)
+}
+
 // metrics is the daemon's instrumentation: request counters by endpoint
 // and status code, serving-path counters (cache, singleflight,
 // admission), and per-endpoint latency and response-size histograms.
@@ -296,18 +315,7 @@ func (m *metrics) writePrometheus(w io.Writer, queueDepth, cacheEntries int, cac
 	fmt.Fprintf(w, "simd_optimize_cache_served_total %d\n", m.optCacheServed)
 	fmt.Fprintln(w, "# HELP simd_optimize_search_seconds End-to-end configuration-search duration.")
 	fmt.Fprintln(w, "# TYPE simd_optimize_search_seconds histogram")
-	{
-		h := m.optSearch
-		var cum int64
-		for i, ub := range h.buckets {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "simd_optimize_search_seconds_bucket{le=\"%g\"} %d\n", ub, cum)
-		}
-		cum += h.inf
-		fmt.Fprintf(w, "simd_optimize_search_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-		fmt.Fprintf(w, "simd_optimize_search_seconds_sum %g\n", h.sum)
-		fmt.Fprintf(w, "simd_optimize_search_seconds_count %d\n", h.count)
-	}
+	m.optSearch.write(w, "simd_optimize_search_seconds", "")
 
 	fmt.Fprintln(w, "# HELP simd_admission_shed_total Requests shed with 429 because the queue was full.")
 	fmt.Fprintln(w, "# TYPE simd_admission_shed_total counter")
@@ -328,30 +336,12 @@ func (m *metrics) writePrometheus(w io.Writer, queueDepth, cacheEntries int, cac
 	fmt.Fprintln(w, "# HELP simd_request_latency_seconds Request latency by endpoint.")
 	fmt.Fprintln(w, "# TYPE simd_request_latency_seconds histogram")
 	for _, ep := range sortedEndpoints(m.latency) {
-		h := m.latency[ep]
-		var cum int64
-		for i, ub := range h.buckets {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "simd_request_latency_seconds_bucket{endpoint=%q,le=\"%g\"} %d\n", ep, ub, cum)
-		}
-		cum += h.inf
-		fmt.Fprintf(w, "simd_request_latency_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ep, cum)
-		fmt.Fprintf(w, "simd_request_latency_seconds_sum{endpoint=%q} %g\n", ep, h.sum)
-		fmt.Fprintf(w, "simd_request_latency_seconds_count{endpoint=%q} %d\n", ep, h.count)
+		m.latency[ep].write(w, "simd_request_latency_seconds", fmt.Sprintf("endpoint=%q", ep))
 	}
 
 	fmt.Fprintln(w, "# HELP simd_response_bytes Response body size by endpoint.")
 	fmt.Fprintln(w, "# TYPE simd_response_bytes histogram")
 	for _, ep := range sortedEndpoints(m.size) {
-		h := m.size[ep]
-		var cum int64
-		for i, ub := range h.buckets {
-			cum += h.counts[i]
-			fmt.Fprintf(w, "simd_response_bytes_bucket{endpoint=%q,le=\"%g\"} %d\n", ep, ub, cum)
-		}
-		cum += h.inf
-		fmt.Fprintf(w, "simd_response_bytes_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ep, cum)
-		fmt.Fprintf(w, "simd_response_bytes_sum{endpoint=%q} %g\n", ep, h.sum)
-		fmt.Fprintf(w, "simd_response_bytes_count{endpoint=%q} %d\n", ep, h.count)
+		m.size[ep].write(w, "simd_response_bytes", fmt.Sprintf("endpoint=%q", ep))
 	}
 }
