@@ -228,6 +228,7 @@ func BenchmarkLoserTreeMerge(b *testing.B) {
 	for i := 0; i < len(data); i += 8 {
 		binary.BigEndian.PutUint64(data[i:], r.Uint64())
 	}
+	newStore := func() extsort.RunStore { return extsort.NewMemStore() }
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -235,11 +236,7 @@ func BenchmarkLoserTreeMerge(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		store := extsort.NewMemStore()
-		if _, err := extsort.FormRuns(cfg, in, store); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := extsort.Merge(cfg, store, discardWriter{}, nil); err != nil {
+		if _, err := extsort.Sort(cfg, 0, in, newStore, discardWriter{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,7 +32,7 @@ func main() {
 		cacheSize = flag.Int("cache", -1, "simulated cache blocks (-1 = unlimited)")
 		seed      = flag.Uint64("seed", 1, "random seed for the synthetic input")
 		fanIn     = flag.Int("fanin", 0, "multi-pass mode: merge at most this many runs per group (0 = single merge)")
-		storeKind = flag.String("store", "mem", "run storage: mem or file (spills runs to a temp dir)")
+		storeKind = flag.String("store", "mem", "run storage: mem or file (spills runs to a temp dir, removed on exit)")
 	)
 	flag.Parse()
 
@@ -62,8 +62,11 @@ func main() {
 	switch *storeKind {
 	case "mem":
 	case "file":
+		if runRoot, err = os.MkdirTemp("", "extsort-runs-"); err != nil {
+			fatal(err)
+		}
 		newStore = func() extsort.RunStore {
-			dir, err := os.MkdirTemp("", "extsort-runs-")
+			dir, err := os.MkdirTemp(runRoot, "store-")
 			if err != nil {
 				fatal(err)
 			}
@@ -77,29 +80,14 @@ func main() {
 		fatal(fmt.Errorf("unknown store %q", *storeKind))
 	}
 
-	if *fanIn > 1 {
-		runMultiPass(cfg, in, *fanIn, *d, *n, *cacheSize, newStore)
-		return
-	}
-
-	store := newStore()
 	out := extsort.NewCountingWriter(cfg)
-	stats, err := extsort.Sort(cfg, in, store, out)
+	res, err := extsort.Sort(cfg, *fanIn, in, newStore, out)
 	if err != nil {
 		fatal(err)
 	}
-	if !out.Ordered() {
-		fatal(fmt.Errorf("output not sorted — library bug"))
-	}
-
-	fmt.Printf("sorted         %d records (%d-byte records, %d-byte blocks, %s)\n",
-		stats.Records, cfg.RecordSize, cfg.BlockSize, cfg.Formation)
-	fmt.Printf("runs           %d (memory %d blocks)\n", stats.Runs, cfg.MemoryBlocks)
-	fmt.Printf("merge blocks   %d\n", len(stats.Trace.Runs))
-
-	if stats.Runs < 2 {
-		fmt.Println("fewer than 2 runs: nothing to simulate")
-		return
+	if out.Count() != int64(*records) || !out.Ordered() {
+		fatal(fmt.Errorf("output holds %d of %d records, ordered %v — library bug",
+			out.Count(), *records, out.Ordered()))
 	}
 
 	base := core.Default()
@@ -110,71 +98,82 @@ func main() {
 	} else {
 		base.CacheBlocks = *cacheSize
 	}
+	if *fanIn > 0 {
+		reportPasses(res, *fanIn, base)
+	} else {
+		reportMerge(res, cfg, base)
+	}
+	if err := os.RemoveAll(runRoot); err != nil {
+		fatal(err)
+	}
+}
 
-	fmt.Printf("\nsimulated merge-phase I/O time (D=%d, N=%d):\n", *d, *n)
+// reportMerge prints a one-pass sort and simulates its merge under each
+// strategy.
+func reportMerge(res extsort.Result, cfg extsort.Config, base core.Config) {
+	fmt.Printf("sorted         %d records (%d-byte records, %d-byte blocks, %s)\n",
+		res.Records, cfg.RecordSize, cfg.BlockSize, cfg.Formation)
+	fmt.Printf("runs           %d (memory %d blocks)\n", res.Runs, cfg.MemoryBlocks)
+	var merge extsort.Group // empty input: no pass
+	if len(res.Passes) > 0 {
+		merge = res.Passes[0].Groups[0]
+	}
+	fmt.Printf("merge blocks   %d\n", len(merge.Trace.Runs))
+
+	if res.Runs < 2 {
+		fmt.Println("fewer than 2 runs: nothing to simulate")
+		return
+	}
+
+	fmt.Printf("\nsimulated merge-phase I/O time (D=%d, N=%d):\n", base.D, base.N)
 	for _, s := range []struct {
 		name  string
 		n     int
 		inter bool
 	}{
 		{"no prefetch", 1, false},
-		{"intra-run (demand run only)", *n, false},
-		{"inter+intra (all disks one run)", *n, true},
+		{"intra-run (demand run only)", base.N, false},
+		{"inter+intra (all disks one run)", base.N, true},
 	} {
 		c := base
 		c.N = s.n
 		c.InterRun = s.inter
-		runBlocks, err := extsort.RunBlocksOf(store)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := extsort.SimulateMerge(runBlocks, stats.Trace, c)
+		r, err := extsort.SimulateMerge(merge, c)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("  %-33s %8.3f s   (overlap %.2f disks, success %.3f)\n",
-			s.name, res.TotalTime.Seconds(), res.MeanConcurrencyWhenBusy, res.SuccessRatio())
+			s.name, r.TotalTime.Seconds(), r.MeanConcurrencyWhenBusy, r.SuccessRatio())
 	}
 }
 
-// runMultiPass sorts with bounded fan-in and simulates every pass.
-func runMultiPass(cfg extsort.Config, in extsort.RecordReader, fanIn, d, n, cacheSize int, newStore func() extsort.RunStore) {
-	out := extsort.NewCountingWriter(cfg)
-	res, err := extsort.MultiPassSort(cfg, fanIn, in, newStore, out)
-	if err != nil {
-		fatal(err)
-	}
-	if !out.Ordered() {
-		fatal(fmt.Errorf("output not sorted — library bug"))
-	}
+// reportPasses prints a bounded-fan-in sort and simulates every pass.
+func reportPasses(res extsort.Result, fanIn int, base core.Config) {
 	fmt.Printf("sorted         %d records in %d merge passes (fan-in %d)\n",
 		res.Records, len(res.Passes), fanIn)
-	for _, p := range res.Passes {
+	for i, p := range res.Passes {
 		fmt.Printf("  pass %d: %d runs -> %d (%d groups)\n",
-			p.Index, p.RunsIn, p.RunsOut, len(p.GroupTraces))
+			i, p.RunsIn, len(p.Groups), len(p.Groups))
 	}
 
-	base := core.Default()
-	base.D = d
-	base.N = n
 	base.InterRun = true
-	if cacheSize == -1 {
-		base.CacheBlocks = cache.Unlimited
-	} else {
-		base.CacheBlocks = cacheSize
-	}
 	perPass, total, err := extsort.SimulatePasses(res, base)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("\nsimulated merge I/O (inter+intra, D=%d, N=%d):\n", d, n)
+	fmt.Printf("\nsimulated merge I/O (inter+intra, D=%d, N=%d):\n", base.D, base.N)
 	for i, p := range perPass {
 		fmt.Printf("  pass %d: %8.3f s\n", i, p.Seconds())
 	}
 	fmt.Printf("  total:  %8.3f s\n", total.Seconds())
 }
 
+// runRoot is the directory holding every file store. Both exits, the
+// end of main and fatal, remove it, so no run file outlives the command.
+var runRoot string
+
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "extsort:", err)
+	_ = os.RemoveAll(runRoot) // best effort: the command is failing already
 	os.Exit(1)
 }

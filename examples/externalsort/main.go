@@ -32,10 +32,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	store := extsort.NewMemStore()
 	out := extsort.NewCountingWriter(cfg)
 
-	stats, err := extsort.Sort(cfg, in, store, out)
+	// Fan-in 0: every run merges in one pass, so one group holds the
+	// whole merge.
+	stats, err := extsort.Sort(cfg, 0, in, func() extsort.RunStore { return extsort.NewMemStore() }, out)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func main() {
 		c := base
 		c.N = s.n
 		c.InterRun = s.inter
-		res, err := extsort.SimulateMerge(store.RunBlocks(), stats.Trace, c)
+		res, err := extsort.SimulateMerge(stats.Passes[0].Groups[0], c)
 		if err != nil {
 			log.Fatal(err)
 		}

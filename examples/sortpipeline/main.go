@@ -54,7 +54,7 @@ func main() {
 		log.Fatal(err)
 	}
 	out := extsort.NewCountingWriter(sortCfg)
-	res, err := extsort.MultiPassSort(sortCfg, fanIn, in,
+	res, err := extsort.Sort(sortCfg, fanIn, in,
 		func() extsort.RunStore { return extsort.NewMemStore() }, out)
 	if err != nil {
 		log.Fatal(err)

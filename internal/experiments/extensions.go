@@ -226,15 +226,15 @@ func extRealTrace(o Options) (Output, error) {
 	if err != nil {
 		return Output{}, err
 	}
-	store := extsort.NewMemStore()
 	out := extsort.NewCountingWriter(sortCfg)
-	st, err := extsort.Sort(sortCfg, in, store, out)
+	st, err := extsort.Sort(sortCfg, 0, in, func() extsort.RunStore { return extsort.NewMemStore() }, out)
 	if err != nil {
 		return Output{}, err
 	}
 	if !out.Ordered() {
 		return Output{}, fmt.Errorf("experiments: real sort produced unordered output")
 	}
+	merge := st.Passes[0].Groups[0]
 
 	t := &table.Table{
 		Title: fmt.Sprintf("Extension: real merge trace (%d records, %d runs) replayed through the simulator (D=5)",
@@ -268,7 +268,7 @@ func extRealTrace(o Options) (Output, error) {
 		base.RunPolicy = cs.policy
 		base.CacheBlocks = cs.cache
 		base.Seed = o.Seed
-		return extsort.SimulateMerge(store.RunBlocks(), st.Trace, base)
+		return extsort.SimulateMerge(merge, base)
 	})
 	if err != nil {
 		return Output{}, err

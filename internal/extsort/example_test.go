@@ -28,23 +28,23 @@ func ExampleSort() {
 		panic(err)
 	}
 
-	store := extsort.NewMemStore()
+	newStore := func() extsort.RunStore { return extsort.NewMemStore() }
 	out := extsort.NewCountingWriter(cfg)
-	stats, err := extsort.Sort(cfg, in, store, out)
+	res, err := extsort.Sort(cfg, 0, in, newStore, out) // fan-in 0: one merge pass
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("records: %d, runs: %d, ordered: %v\n",
-		stats.Records, stats.Runs, out.Ordered())
-	fmt.Printf("depletion trace covers %d blocks\n", len(stats.Trace.Runs))
+		res.Records, res.Runs, out.Ordered())
+	fmt.Printf("depletion trace covers %d blocks\n", len(res.Passes[0].Groups[0].Trace.Runs))
 	// Output:
 	// records: 10000, runs: 40, ordered: true
 	// depletion trace covers 157 blocks
 }
 
-// ExampleSortStats_replay demonstrates replacement selection producing
-// fewer, longer runs than load-sort on the same input.
-func ExampleSortStats_replay() {
+// ExampleSort_replacementSelection demonstrates replacement selection
+// producing fewer, longer runs than load-sort on the same input.
+func ExampleSort_replacementSelection() {
 	mk := func(f extsort.RunFormation) int {
 		cfg := extsort.Config{RecordSize: 8, BlockSize: 512, MemoryBlocks: 4, Formation: f}
 		r := rng.New(7)
@@ -56,11 +56,12 @@ func ExampleSortStats_replay() {
 		if err != nil {
 			panic(err)
 		}
-		st, err := extsort.Sort(cfg, in, extsort.NewMemStore(), &extsort.SliceWriter{})
+		newStore := func() extsort.RunStore { return extsort.NewMemStore() }
+		res, err := extsort.Sort(cfg, 0, in, newStore, &extsort.SliceWriter{})
 		if err != nil {
 			panic(err)
 		}
-		return st.Runs
+		return res.Runs
 	}
 	ls := mk(extsort.LoadSort)
 	rs := mk(extsort.ReplacementSelection)

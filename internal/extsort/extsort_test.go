@@ -43,7 +43,11 @@ func sortedCopy(data []byte, recSize int) []byte {
 	return out
 }
 
-func sortAll(t *testing.T, cfg Config, data []byte) ([]byte, SortStats, *MemStore) {
+func newMemStore() RunStore { return NewMemStore() }
+
+// sortAll sorts data in one merge pass and returns the output, the
+// result and the store of the formed runs.
+func sortAll(t *testing.T, cfg Config, data []byte) ([]byte, Result, *MemStore) {
 	t.Helper()
 	in, err := NewSliceReader(data, cfg.RecordSize)
 	if err != nil {
@@ -51,11 +55,35 @@ func sortAll(t *testing.T, cfg Config, data []byte) ([]byte, SortStats, *MemStor
 	}
 	store := NewMemStore()
 	var out SliceWriter
-	st, err := Sort(cfg, in, store, &out)
+	st, err := Sort(cfg, 0, in, func() RunStore { return store }, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out.Data, st, store
+}
+
+// onlyGroup returns the one group of a one-pass sort.
+func onlyGroup(t *testing.T, res Result) Group {
+	t.Helper()
+	if len(res.Passes) != 1 || len(res.Passes[0].Groups) != 1 {
+		t.Fatalf("want one pass of one group, got %+v", res.Passes)
+	}
+	return res.Passes[0].Groups[0]
+}
+
+// openRuns opens every run of store; the test closes them at its end.
+func openRuns(t *testing.T, store RunStore) []RunReader {
+	t.Helper()
+	runs := make([]RunReader, store.NumRuns())
+	for i := range runs {
+		r, err := store.OpenRun(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		runs[i] = r
+	}
+	return runs
 }
 
 func TestSortMatchesStdlib(t *testing.T) {
@@ -140,7 +168,7 @@ func TestSortPropertyQuick(t *testing.T) {
 			return false
 		}
 		var out SliceWriter
-		if _, err := Sort(cfg, in, NewMemStore(), &out); err != nil {
+		if _, err := Sort(cfg, 0, in, newMemStore, &out); err != nil {
 			return false
 		}
 		return bytes.Equal(out.Data, sortedCopy(data, 8))
@@ -188,6 +216,68 @@ func TestReplacementSelectionSortedInputOneRun(t *testing.T) {
 	}
 }
 
+// recordCounter counts the records read through it.
+type recordCounter struct {
+	RecordReader
+	n int
+}
+
+func (r *recordCounter) Next() ([]byte, error) {
+	rec, err := r.RecordReader.Next()
+	if err == nil {
+		r.n++
+	}
+	return rec, err
+}
+
+// writeWatchStore calls onWrite before each block it stores.
+type writeWatchStore struct {
+	RunStore
+	onWrite func()
+}
+
+func (s writeWatchStore) CreateRun() (RunWriter, error) {
+	w, err := s.RunStore.CreateRun()
+	return writeWatcher{w, s.onWrite}, err
+}
+
+type writeWatcher struct {
+	RunWriter
+	onWrite func()
+}
+
+func (w writeWatcher) WriteBlock(p []byte) error {
+	w.onWrite()
+	return w.RunWriter.WriteBlock(p)
+}
+
+func TestReplacementSelectionStreamsRun(t *testing.T) {
+	// Sorted input forms one run as long as the input; its first block
+	// must reach the store once one memory load plus one block of
+	// records has been read, not after the whole run.
+	cfg := testConfig()
+	cfg.Formation = ReplacementSelection
+	sr, err := NewSliceReader(sortedCopy(randomData(10, 400), 8), cfg.RecordSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &recordCounter{RecordReader: sr}
+	readAtFirstWrite := -1
+	store := writeWatchStore{NewMemStore(), func() {
+		if readAtFirstWrite < 0 {
+			readAtFirstWrite = in.n
+		}
+	}}
+	if _, err := FormRuns(cfg, in, store); err != nil {
+		t.Fatal(err)
+	}
+	limit := (cfg.MemoryBlocks + 1) * cfg.RecordsPerBlock()
+	if store.NumRuns() != 1 || readAtFirstWrite < 0 || readAtFirstWrite > limit {
+		t.Fatalf("%d runs; first block written after %d records read, want at most %d",
+			store.NumRuns(), readAtFirstWrite, limit)
+	}
+}
+
 func TestKeyPrefixComparison(t *testing.T) {
 	cfg := testConfig()
 	cfg.KeySize = 2
@@ -205,19 +295,20 @@ func TestKeyPrefixComparison(t *testing.T) {
 func TestTraceCountsEveryBlock(t *testing.T) {
 	cfg := testConfig()
 	data := randomData(9, 120)
-	_, st, store := sortAll(t, cfg, data)
+	_, st, _ := sortAll(t, cfg, data)
+	g := onlyGroup(t, st)
 	total := 0
 	counts := map[int]int{}
-	for _, r := range st.Trace.Runs {
+	for _, r := range g.Trace.Runs {
 		counts[r]++
 		total++
 	}
-	for r, blocks := range store.RunBlocks() {
+	for r, blocks := range g.RunBlocks {
 		if counts[r] != blocks {
 			t.Fatalf("run %d depleted %d times, has %d blocks", r, counts[r], blocks)
 		}
 	}
-	if total != len(st.Trace.Runs) {
+	if total != len(g.Trace.Runs) {
 		t.Fatal("trace accounting inconsistent")
 	}
 }
@@ -238,7 +329,7 @@ func TestMergeOfManualRuns(t *testing.T) {
 		}
 	}
 	w := NewCountingWriter(cfg)
-	n, err := Merge(cfg, store, w, nil)
+	n, err := Merge(cfg, openRuns(t, store), w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +359,7 @@ func TestMergeManyRunsLoserTree(t *testing.T) {
 			}
 		}
 		var out SliceWriter
-		if _, err := Merge(cfg, store, &out, nil); err != nil {
+		if _, err := Merge(cfg, openRuns(t, store), &out, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(out.Data, sortedCopy(all, 8)) {
@@ -444,28 +535,10 @@ func TestSortFromStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out SliceWriter
-	if _, err := Sort(cfg, sr, NewMemStore(), &out); err != nil {
+	if _, err := Sort(cfg, 0, sr, newMemStore, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Data, sortedCopy(data, 8)) {
 		t.Fatal("stream-fed sort wrong")
-	}
-}
-
-func TestRunBlocksOf(t *testing.T) {
-	cfg := testConfig()
-	_, _, store := sortAll(t, cfg, randomData(71, 100))
-	got, err := RunBlocksOf(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := store.RunBlocks()
-	if len(got) != len(want) {
-		t.Fatalf("lengths differ: %v vs %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("RunBlocksOf = %v, want %v", got, want)
-		}
 	}
 }

@@ -114,15 +114,6 @@ func (s *FileStore) OpenRun(i int) (RunReader, error) {
 // NumRuns implements RunStore.
 func (s *FileStore) NumRuns() int { return len(s.runs) }
 
-// RunBlocks returns per-run block counts, like MemStore.RunBlocks.
-func (s *FileStore) RunBlocks() []int {
-	out := make([]int, len(s.runs))
-	for i, m := range s.runs {
-		out[i] = len(m.offsets)
-	}
-	return out
-}
-
 // ReadBlock implements RunReader.
 func (r *fileRunReader) ReadBlock(idx int, p []byte) (int, error) {
 	if idx < 0 || idx >= len(r.meta.offsets) {
@@ -141,7 +132,5 @@ func (r *fileRunReader) ReadBlock(idx int, p []byte) (int, error) {
 // Blocks implements RunReader.
 func (r *fileRunReader) Blocks() int { return len(r.meta.offsets) }
 
-// Close releases the underlying file. Merge holds every run open for
-// its duration; callers using FileStore directly should close readers
-// they open. (The merge path tolerates readers without Close.)
+// Close implements RunReader, releasing the run's file.
 func (r *fileRunReader) Close() error { return r.f.Close() }

@@ -66,7 +66,7 @@ func TestFileStoreFullSort(t *testing.T) {
 	}
 	store := newTestFileStore(t)
 	var out SliceWriter
-	st, err := Sort(cfg, in, store, &out)
+	st, err := Sort(cfg, 0, in, func() RunStore { return store }, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,17 +97,11 @@ func TestFileStoreMatchesMemStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		var out SliceWriter
-		if _, err := Sort(cfg, in, store, &out); err != nil {
+		st, err := Sort(cfg, 0, in, func() RunStore { return store }, &out)
+		if err != nil {
 			t.Fatal(err)
 		}
-		var blocks []int
-		switch st := store.(type) {
-		case *MemStore:
-			blocks = st.RunBlocks()
-		case *FileStore:
-			blocks = st.RunBlocks()
-		}
-		return out.Data, blocks
+		return out.Data, onlyGroup(t, st).RunBlocks
 	}
 
 	memOut, memBlocks := runSort(NewMemStore())

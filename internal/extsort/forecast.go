@@ -26,22 +26,29 @@ func ForecastTrace(cfg Config, store RunStore) (*Trace, error) {
 	}
 	var keys []blockKey
 	buf := make([]byte, cfg.BlockSize)
-	for r := 0; r < store.NumRuns(); r++ {
+	readLasts := func(r int) error {
 		reader, err := store.OpenRun(r)
 		if err != nil {
-			return nil, err
+			return err
 		}
+		defer reader.Close() // read-only: a failed close loses nothing
 		for b := 0; b < reader.Blocks(); b++ {
 			n, err := reader.ReadBlock(b, buf)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if n == 0 || n%cfg.RecordSize != 0 {
-				return nil, fmt.Errorf("extsort: forecast: run %d block %d has %d bytes", r, b, n)
+				return fmt.Errorf("extsort: forecast: run %d block %d has %d bytes", r, b, n)
 			}
 			last := make([]byte, cfg.RecordSize)
 			copy(last, buf[n-cfg.RecordSize:n])
 			keys = append(keys, blockKey{run: r, idx: b, last: last})
+		}
+		return nil
+	}
+	for r := 0; r < store.NumRuns(); r++ {
+		if err := readLasts(r); err != nil {
+			return nil, err
 		}
 	}
 	sort.SliceStable(keys, func(i, j int) bool {

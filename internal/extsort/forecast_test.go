@@ -2,6 +2,7 @@ package extsort
 
 import (
 	"encoding/binary"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -13,28 +14,20 @@ func TestForecastMatchesActualMerge(t *testing.T) {
 	cfg := testConfig()
 	for _, seed := range []uint64{1, 2, 3, 4, 5} {
 		data := randomData(seed*100+41, 300)
-		in, err := NewSliceReader(data, cfg.RecordSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		store := NewMemStore()
-		var out SliceWriter
-		st, err := Sort(cfg, in, store, &out)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, st, store := sortAll(t, cfg, data)
+		actual := onlyGroup(t, st).Trace
 		forecast, err := ForecastTrace(cfg, store)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(forecast.Runs) != len(st.Trace.Runs) {
+		if len(forecast.Runs) != len(actual.Runs) {
 			t.Fatalf("seed %d: forecast %d entries, actual %d",
-				seed, len(forecast.Runs), len(st.Trace.Runs))
+				seed, len(forecast.Runs), len(actual.Runs))
 		}
 		for i := range forecast.Runs {
-			if forecast.Runs[i] != st.Trace.Runs[i] {
+			if forecast.Runs[i] != actual.Runs[i] {
 				t.Fatalf("seed %d: traces diverge at %d: forecast %d, actual %d",
-					seed, i, forecast.Runs[i], st.Trace.Runs[i])
+					seed, i, forecast.Runs[i], actual.Runs[i])
 			}
 		}
 	}
@@ -49,24 +42,13 @@ func TestForecastMatchesWithDuplicateKeys(t *testing.T) {
 		binary.BigEndian.PutUint64(rec, uint64(i%7))
 		data = append(data, rec...)
 	}
-	in, err := NewSliceReader(data, cfg.RecordSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewMemStore()
-	var out SliceWriter
-	st, err := Sort(cfg, in, store, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, st, store := sortAll(t, cfg, data)
 	forecast, err := ForecastTrace(cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range forecast.Runs {
-		if forecast.Runs[i] != st.Trace.Runs[i] {
-			t.Fatalf("duplicate-key traces diverge at %d", i)
-		}
+	if !slices.Equal(forecast.Runs, onlyGroup(t, st).Trace.Runs) {
+		t.Fatal("duplicate-key traces diverge")
 	}
 }
 
@@ -74,24 +56,13 @@ func TestForecastMatchesReplacementSelection(t *testing.T) {
 	cfg := testConfig()
 	cfg.Formation = ReplacementSelection
 	data := randomData(77, 500)
-	in, err := NewSliceReader(data, cfg.RecordSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := NewMemStore()
-	var out SliceWriter
-	st, err := Sort(cfg, in, store, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, st, store := sortAll(t, cfg, data)
 	forecast, err := ForecastTrace(cfg, store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range forecast.Runs {
-		if forecast.Runs[i] != st.Trace.Runs[i] {
-			t.Fatalf("rs traces diverge at %d", i)
-		}
+	if !slices.Equal(forecast.Runs, onlyGroup(t, st).Trace.Runs) {
+		t.Fatal("rs traces diverge")
 	}
 }
 
@@ -101,33 +72,35 @@ func TestForecastPropertyQuick(t *testing.T) {
 	err := quick.Check(func(sz uint16) bool {
 		n := int(sz%200) + 1
 		seed++
-		data := randomData(seed, n)
-		in, err := NewSliceReader(data, cfg.RecordSize)
-		if err != nil {
-			return false
-		}
-		store := NewMemStore()
-		var out SliceWriter
-		st, err := Sort(cfg, in, store, &out)
-		if err != nil {
-			return false
-		}
+		_, st, store := sortAll(t, cfg, randomData(seed, n))
 		forecast, err := ForecastTrace(cfg, store)
 		if err != nil {
 			return false
 		}
-		if len(forecast.Runs) != len(st.Trace.Runs) {
-			return false
-		}
-		for i := range forecast.Runs {
-			if forecast.Runs[i] != st.Trace.Runs[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(forecast.Runs, onlyGroup(t, st).Trace.Runs)
 	}, &quick.Config{MaxCount: 25})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestForecastClosesEveryReader(t *testing.T) {
+	cfg := testConfig()
+	var c readerCount
+	store := countingStore{NewMemStore(), &c}
+	in, err := NewSliceReader(randomData(57, 100), cfg.RecordSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FormRuns(cfg, in, store); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ForecastTrace(cfg, store); err != nil {
+		t.Fatal(err)
+	}
+	if c.open != 0 || c.peak != 1 || c.opened != store.NumRuns() {
+		t.Fatalf("%d readers left open, peak %d, opened %d of %d runs",
+			c.open, c.peak, c.opened, store.NumRuns())
 	}
 }
 

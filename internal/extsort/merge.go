@@ -172,23 +172,19 @@ func (lt *loserTree) winner() int {
 	return w
 }
 
-// Merge performs the k-way merge of every run in store, writing records
-// to out. If trace is non-nil, the block-depletion order is appended to
-// it. It returns the number of records written.
-func Merge(cfg Config, store RunStore, out RecordWriter, trace *Trace) (int64, error) {
+// Merge performs the k-way merge of runs, writing records to out. If
+// trace is non-nil, the block-depletion order is appended to it, each
+// run named by its index in runs. It returns the number of records
+// written; closing the readers is left to the caller.
+func Merge(cfg Config, runs []RunReader, out RecordWriter, trace *Trace) (int64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
-	k := store.NumRuns()
-	if k == 0 {
+	if len(runs) == 0 {
 		return 0, nil
 	}
-	cursors := make([]*runCursor, k)
-	for i := 0; i < k; i++ {
-		r, err := store.OpenRun(i)
-		if err != nil {
-			return 0, err
-		}
+	cursors := make([]*runCursor, len(runs))
+	for i, r := range runs {
 		c, err := newRunCursor(cfg, r, i, trace)
 		if err != nil {
 			return 0, err
@@ -212,29 +208,4 @@ func Merge(cfg Config, store RunStore, out RecordWriter, trace *Trace) (int64, e
 		}
 		lt.replay(w)
 	}
-}
-
-// Sort forms runs from input and merges them to output in one call,
-// returning the sort statistics.
-func Sort(cfg Config, input RecordReader, store RunStore, out RecordWriter) (SortStats, error) {
-	read, err := FormRuns(cfg, input, store)
-	if err != nil {
-		return SortStats{}, err
-	}
-	trace := &Trace{}
-	written, err := Merge(cfg, store, out, trace)
-	if err != nil {
-		return SortStats{}, err
-	}
-	if written != read {
-		return SortStats{}, fmt.Errorf("extsort: read %d records but wrote %d", read, written)
-	}
-	return SortStats{Records: read, Runs: store.NumRuns(), Trace: trace}, nil
-}
-
-// SortStats reports a completed sort.
-type SortStats struct {
-	Records int64
-	Runs    int
-	Trace   *Trace
 }

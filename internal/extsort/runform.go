@@ -26,30 +26,16 @@ func FormRuns(cfg Config, input RecordReader, store RunStore) (int64, error) {
 
 // writeRun writes records (already sorted) as blocks of a new run.
 func writeRun(cfg Config, store RunStore, records [][]byte) error {
-	w, err := store.CreateRun()
+	sink, err := newRunSink(cfg, store)
 	if err != nil {
 		return err
 	}
-	perBlock := cfg.RecordsPerBlock()
-	block := make([]byte, 0, cfg.BlockSize)
-	inBlock := 0
 	for _, rec := range records {
-		block = append(block, rec...)
-		inBlock++
-		if inBlock == perBlock {
-			if err := w.WriteBlock(block); err != nil {
-				return err
-			}
-			block = block[:0]
-			inBlock = 0
-		}
-	}
-	if inBlock > 0 {
-		if err := w.WriteBlock(block); err != nil {
+		if err := sink.Write(rec); err != nil {
 			return err
 		}
 	}
-	return w.Close()
+	return sink.Close()
 }
 
 // formLoadSort sorts one memory load at a time: the scheme the paper's
@@ -168,7 +154,8 @@ func (h *rsHeap) pop() rsItem {
 // formReplacementSelection streams records through a selection heap
 // (Knuth 5.4.1R): records smaller than the last output are fenced into
 // the next run's epoch. Expected run length is twice the memory size
-// for random input.
+// for random input. Each output record goes straight to its run's
+// sink, so memory holds the heap and one block, however long the run.
 func formReplacementSelection(cfg Config, input RecordReader, store RunStore) (int64, error) {
 	capacity := cfg.MemoryBlocks * cfg.RecordsPerBlock()
 	h := &rsHeap{cfg: cfg}
@@ -207,28 +194,25 @@ func formReplacementSelection(cfg Config, input RecordReader, store RunStore) (i
 	}
 
 	epoch := 0
-	var current [][]byte // records of the run being emitted
-	flush := func() error {
-		if len(current) == 0 {
-			return nil
-		}
-		if err := writeRun(cfg, store, current); err != nil {
-			return err
-		}
-		current = nil
-		return nil
+	sink, err := newRunSink(cfg, store)
+	if err != nil {
+		return total, err
 	}
-
 	for len(h.items) > 0 {
 		it := h.pop()
 		if it.epoch > epoch {
 			// Every remaining item belongs to a later run: close this one.
-			if err := flush(); err != nil {
+			if err := sink.Close(); err != nil {
+				return total, err
+			}
+			if sink, err = newRunSink(cfg, store); err != nil {
 				return total, err
 			}
 			epoch = it.epoch
 		}
-		current = append(current, it.rec)
+		if err := sink.Write(it.rec); err != nil {
+			return total, err
+		}
 
 		next, ok, err := readOne()
 		if err != nil {
@@ -244,5 +228,5 @@ func formReplacementSelection(cfg Config, input RecordReader, store RunStore) (i
 			h.push(next)
 		}
 	}
-	return total, flush()
+	return total, sink.Close()
 }

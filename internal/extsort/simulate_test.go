@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -9,8 +10,8 @@ import (
 )
 
 // sortForSim runs a real sort sized to produce a healthy number of runs
-// and returns its store block counts and trace.
-func sortForSim(t *testing.T, seed uint64, records int, formation RunFormation) ([]int, *Trace) {
+// and returns its one merge group.
+func sortForSim(t *testing.T, seed uint64, records int, formation RunFormation) Group {
 	t.Helper()
 	cfg := testConfig()
 	cfg.MemoryBlocks = 16 // 16-block runs so prefetch depths up to 4 are meaningful
@@ -19,16 +20,15 @@ func sortForSim(t *testing.T, seed uint64, records int, formation RunFormation) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := NewMemStore()
 	w := NewCountingWriter(cfg)
-	st, err := Sort(cfg, in, store, w)
+	st, err := Sort(cfg, 0, in, newMemStore, w)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !w.Ordered() {
 		t.Fatal("sort output unordered")
 	}
-	return store.RunBlocks(), st.Trace
+	return onlyGroup(t, st)
 }
 
 func simBase(d, n int, inter bool) core.Config {
@@ -42,16 +42,16 @@ func simBase(d, n int, inter bool) core.Config {
 }
 
 func TestSimulateMergeRealTrace(t *testing.T) {
-	runBlocks, trace := sortForSim(t, 11, 600, LoadSort)
-	if len(runBlocks) < 4 {
-		t.Fatalf("only %d runs", len(runBlocks))
+	g := sortForSim(t, 11, 600, LoadSort)
+	if len(g.RunBlocks) < 4 {
+		t.Fatalf("only %d runs", len(g.RunBlocks))
 	}
-	res, err := SimulateMerge(runBlocks, trace, simBase(2, 1, false))
+	res, err := SimulateMerge(g, simBase(2, 1, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, b := range runBlocks {
+	for _, b := range g.RunBlocks {
 		total += b
 	}
 	if res.MergedBlocks != int64(total) {
@@ -65,16 +65,16 @@ func TestSimulateMergeRealTrace(t *testing.T) {
 func TestSimulateMergeStrategiesOrdering(t *testing.T) {
 	// On a real trace, the paper's ordering must hold: combined
 	// prefetching beats intra-run beats none.
-	runBlocks, trace := sortForSim(t, 12, 1500, LoadSort)
-	none, err := SimulateMerge(runBlocks, trace, simBase(4, 1, false))
+	g := sortForSim(t, 12, 1500, LoadSort)
+	none, err := SimulateMerge(g, simBase(4, 1, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	intra, err := SimulateMerge(runBlocks, trace, simBase(4, 4, false))
+	intra, err := SimulateMerge(g, simBase(4, 4, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inter, err := SimulateMerge(runBlocks, trace, simBase(4, 4, true))
+	inter, err := SimulateMerge(g, simBase(4, 4, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,17 +87,17 @@ func TestSimulateMergeStrategiesOrdering(t *testing.T) {
 func TestSimulateMergeUnequalRuns(t *testing.T) {
 	// Replacement selection produces unequal runs; the simulator must
 	// accept them via RunLengths.
-	runBlocks, trace := sortForSim(t, 13, 900, ReplacementSelection)
+	g := sortForSim(t, 13, 900, ReplacementSelection)
 	unequal := false
-	for _, b := range runBlocks[1:] {
-		if b != runBlocks[0] {
+	for _, b := range g.RunBlocks[1:] {
+		if b != g.RunBlocks[0] {
 			unequal = true
 		}
 	}
-	if !unequal && len(runBlocks) > 2 {
+	if !unequal && len(g.RunBlocks) > 2 {
 		t.Log("note: replacement selection produced equal runs this seed")
 	}
-	res, err := SimulateMerge(runBlocks, trace, simBase(2, 2, true))
+	res, err := SimulateMerge(g, simBase(2, 2, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,28 +107,53 @@ func TestSimulateMergeUnequalRuns(t *testing.T) {
 }
 
 func TestSimulateMergeValidation(t *testing.T) {
-	if _, err := SimulateMerge(nil, &Trace{Runs: []int{0}}, simBase(1, 1, false)); err == nil {
+	if _, err := SimulateMerge(Group{Trace: Trace{Runs: []int{0}}}, simBase(1, 1, false)); err == nil {
 		t.Fatal("no runs accepted")
 	}
-	if _, err := SimulateMerge([]int{3}, nil, simBase(1, 1, false)); err == nil {
-		t.Fatal("nil trace accepted")
+	if _, err := SimulateMerge(Group{RunBlocks: []int{3}}, simBase(1, 1, false)); err == nil {
+		t.Fatal("empty trace accepted")
 	}
-	if _, err := SimulateMerge([]int{3}, &Trace{Runs: []int{0, 0}}, simBase(1, 1, false)); err == nil {
+	if _, err := SimulateMerge(Group{RunBlocks: []int{3}, Trace: Trace{Runs: []int{0, 0}}}, simBase(1, 1, false)); err == nil {
 		t.Fatal("trace/block mismatch accepted")
 	}
 }
 
 func TestSimulateMergeClampsD(t *testing.T) {
 	// Two runs but a 5-disk base: D must clamp to K.
-	runBlocks, trace := sortForSim(t, 14, 60, LoadSort)
-	if len(runBlocks) >= 5 {
+	g := sortForSim(t, 14, 60, LoadSort)
+	if len(g.RunBlocks) >= 5 {
 		t.Skip("seed produced too many runs for the clamp case")
 	}
-	res, err := SimulateMerge(runBlocks, trace, simBase(5, 1, false))
+	res, err := SimulateMerge(g, simBase(5, 1, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PerDisk) > len(runBlocks) {
-		t.Fatalf("%d disks for %d runs", len(res.PerDisk), len(runBlocks))
+	if len(res.PerDisk) > len(g.RunBlocks) {
+		t.Fatalf("%d disks for %d runs", len(res.PerDisk), len(g.RunBlocks))
+	}
+}
+
+func TestSimulateMergeClampsN(t *testing.T) {
+	// Runs of 16 blocks under N = 40: N must clamp to the longest run,
+	// giving exactly the N = 16 result, with a default cache sized for
+	// the clamped N.
+	g := sortForSim(t, 15, 600, LoadSort)
+	if longest := slices.Max(g.RunBlocks); longest != 16 {
+		t.Fatalf("longest run %d blocks, want 16", longest)
+	}
+	for _, inter := range []bool{false, true} {
+		deep, shallow := simBase(2, 40, inter), simBase(2, 16, inter)
+		deep.CacheBlocks, shallow.CacheBlocks = 0, 0
+		got, err := SimulateMerge(g, deep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := SimulateMerge(g, shallow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.TotalTime != want.TotalTime {
+			t.Fatalf("inter=%v: N=40 took %v, N=16 took %v", inter, got.TotalTime, want.TotalTime)
+		}
 	}
 }

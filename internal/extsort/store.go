@@ -30,6 +30,8 @@ type RunReader interface {
 	ReadBlock(idx int, p []byte) (int, error)
 	// Blocks returns the number of blocks in the run.
 	Blocks() int
+	// Close releases the reader; it must not be used afterwards.
+	Close() error
 }
 
 // MemStore is an in-memory RunStore.
@@ -105,26 +107,52 @@ func (r *memRunReader) ReadBlock(idx int, p []byte) (int, error) {
 // Blocks implements RunReader.
 func (r *memRunReader) Blocks() int { return len(r.blocks) }
 
-// RunBlocks returns the block counts of all runs, in run order.
-func (s *MemStore) RunBlocks() []int {
-	out := make([]int, len(s.runs))
-	for i, run := range s.runs {
-		out[i] = len(run)
-	}
-	return out
+// Close implements RunReader; a memory run holds nothing to release.
+func (r *memRunReader) Close() error { return nil }
+
+// blockSink packs a record stream into the blocks of one new run. It is
+// the only writer of runs: run formation and every intermediate merge
+// pass stream through it, one block at a time.
+type blockSink struct {
+	w     RunWriter
+	block []byte
 }
 
-// RunBlocksOf returns the per-run block counts of any store, in run
-// order, by opening each run. Both built-in stores also expose
-// RunBlocks directly.
-func RunBlocksOf(s RunStore) ([]int, error) {
-	out := make([]int, s.NumRuns())
-	for i := range out {
-		r, err := s.OpenRun(i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = r.Blocks()
+// newRunSink creates a run in store and returns a sink writing it. The
+// sink's buffer holds exactly one block of whole records, so it flushes
+// when full.
+func newRunSink(cfg Config, store RunStore) (*blockSink, error) {
+	w, err := store.CreateRun()
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &blockSink{w: w, block: make([]byte, 0, cfg.RecordsPerBlock()*cfg.RecordSize)}, nil
+}
+
+// Write implements RecordWriter.
+func (b *blockSink) Write(rec []byte) error {
+	b.block = append(b.block, rec...)
+	if len(b.block) == cap(b.block) {
+		return b.flush()
+	}
+	return nil
+}
+
+func (b *blockSink) flush() error {
+	if len(b.block) == 0 {
+		return nil
+	}
+	if err := b.w.WriteBlock(b.block); err != nil {
+		return err
+	}
+	b.block = b.block[:0]
+	return nil
+}
+
+// Close flushes the ragged tail and closes the run.
+func (b *blockSink) Close() error {
+	if err := b.flush(); err != nil {
+		return err
+	}
+	return b.w.Close()
 }

@@ -39,7 +39,7 @@ func TestSystemEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := NewCountingWriter(cfg)
-	res, err := MultiPassSort(cfg, 8, in, func() RunStore {
+	res, err := Sort(cfg, 8, in, func() RunStore {
 		s, err := NewFileStore(t.TempDir())
 		if err != nil {
 			t.Fatal(err)
