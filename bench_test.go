@@ -177,6 +177,45 @@ func BenchmarkExplainReport(b *testing.B) {
 	}
 }
 
+// BenchmarkExplainBuild builds the attribution report at the point
+// simd's /v1/explain serves in the benchmark's serve-cold mix (k=25,
+// D=5, N=10, 1000-block runs, 300-block cache, 0.3 ms merge per block):
+// about 101k recorded events with combined inter+intra prefetching and
+// 71k with demand-run-only. Unlike BenchmarkExplainReport's 60-block
+// trace, it is large enough for a join that scans every span per stall
+// to dominate. ns/event divides one Build+Check by the trace's events.
+func BenchmarkExplainBuild(b *testing.B) {
+	for _, inter := range []bool{true, false} {
+		name := "intra"
+		if inter {
+			name = "inter"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := core.Default()
+			cfg.K, cfg.D, cfg.N, cfg.BlocksPerRun = 25, 5, 10, 1000
+			cfg.InterRun = inter
+			cfg.CacheBlocks = 300
+			cfg.MergeTimePerBlock = sim.Ms(0.3)
+			cfg.Seed = 1
+			rec := trace.New(0)
+			cfg.Trace = rec
+			res, err := core.Run(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep := explain.Build(rec, explain.Options{Makespan: res.TotalTime})
+				if err := rep.Check(res.StallTime); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rec.Len()), "ns/event")
+		})
+	}
+}
+
 // BenchmarkDiskRequest measures single-block request service overhead:
 // one pooled Request is resubmitted from its own OnBlock in a closed
 // loop, the way the merge engine drives disks.

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -125,7 +126,13 @@ func reportMerge(res extsort.Result, cfg extsort.Config, base core.Config) {
 		return
 	}
 
-	fmt.Printf("\nsimulated merge-phase I/O time (D=%d, N=%d):\n", base.D, base.N)
+	// The header names the disks and depth the rows ran at, after the
+	// simulator's clamps to the group's run count and longest run.
+	ran, err := extsort.MergeConfig(merge, base)
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Printf("\nsimulated merge-phase I/O time (D=%d, N=%d):\n", ran.D, ran.N)
 	for _, s := range []struct {
 		name  string
 		n     int
@@ -161,11 +168,31 @@ func reportPasses(res extsort.Result, fanIn int, base core.Config) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("\nsimulated merge I/O (inter+intra, D=%d, N=%d):\n", base.D, base.N)
+	fmt.Println("\nsimulated merge I/O (inter+intra):")
 	for i, p := range perPass {
-		fmt.Printf("  pass %d: %8.3f s\n", i, p.Seconds())
+		// Each group runs at the disks and depth the simulator clamps
+		// to its own run count and longest run, so a pass's narrow last
+		// group can run at a smaller D than the rest.
+		var ds, ns []int
+		for _, g := range res.Passes[i].Groups {
+			ran, err := extsort.MergeConfig(g, base)
+			if err != nil {
+				fatal(err)
+			}
+			ds, ns = append(ds, ran.D), append(ns, ran.N)
+		}
+		fmt.Printf("  pass %d: %8.3f s   (D=%s, N=%s)\n", i, p.Seconds(), valueRange(ds), valueRange(ns))
 	}
 	fmt.Printf("  total:  %8.3f s\n", total.Seconds())
+}
+
+// valueRange prints the range of vs as "lo" or "lo..hi".
+func valueRange(vs []int) string {
+	lo, hi := slices.Min(vs), slices.Max(vs)
+	if lo == hi {
+		return fmt.Sprint(lo)
+	}
+	return fmt.Sprintf("%d..%d", lo, hi)
 }
 
 // runRoot is the directory holding every file store. Both exits, the

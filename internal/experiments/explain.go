@@ -17,18 +17,16 @@ import (
 // went. The output is a pair of stacked-bar figures — one for combined
 // inter+intra prefetching, one for demand-run-only — whose segments sum
 // to the makespan at every cache size (the conservation invariant,
-// drawn). Traced points run single-trial and serial; determinism makes
-// one trial exact, not noisy.
+// drawn). Traced points run single-trial and one at a time: each
+// point's report is built and checked before the next run starts, so
+// only one recorder is live at once. Determinism makes one trial exact,
+// not noisy.
 func extStallAttribution(o Options) (Output, error) {
 	fInter := stallFigure("ext-stall-attribution",
 		"Extension: where the time goes — All Disks One Run (25 runs, 5 disks, N=10)")
 	fIntra := stallFigure("ext-stall-attribution-intra",
 		"Extension: where the time goes — Demand Run Only (25 runs, 5 disks, N=10)")
 
-	g := newGrid(o)
-	g.trials = 1 // traced runs are deterministic; replication adds nothing
-
-	var firstErr error
 	for _, inter := range []bool{true, false} {
 		fig := fIntra
 		if inter {
@@ -39,24 +37,18 @@ func extStallAttribution(o Options) (Output, error) {
 			cfg.InterRun = inter
 			cfg.CacheBlocks = c
 			cfg.MergeTimePerBlock = sim.Ms(0.3)
-			rec := trace.New(0)
-			cfg.Trace = rec
-			x := float64(c)
-			g.add(cfg, func(a core.Aggregate) {
-				res := a.Results[0]
-				rep := explain.Build(rec, explain.Options{Makespan: res.TotalTime})
-				if err := rep.Check(res.StallTime); err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("cache %d blocks: %w", c, err)
-				}
-				stackPoint(fig, x, rep)
-			})
+			cfg.Seed = o.Seed
+			cfg.Trace = trace.New(0)
+			res, err := core.Run(cfg)
+			if err != nil {
+				return Output{}, err
+			}
+			rep := explain.Build(cfg.Trace, explain.Options{Makespan: res.TotalTime})
+			if err := rep.Check(res.StallTime); err != nil {
+				return Output{}, fmt.Errorf("explain conservation violated: cache %d blocks: %w", c, err)
+			}
+			stackPoint(fig, float64(c), rep)
 		}
-	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	if firstErr != nil {
-		return Output{}, fmt.Errorf("explain conservation violated: %w", firstErr)
 	}
 	return Output{Figures: []*table.Figure{fInter, fIntra}}, nil
 }

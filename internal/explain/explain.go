@@ -178,6 +178,11 @@ type Report struct {
 
 // Build computes the attribution report for a recorded trace. It never
 // mutates the recorder.
+//
+// Cost: the joins go through an index built once per report, so with S
+// stalls, P prefetch spans and D disk spans Build takes
+// O((S + P + D) log P) time instead of the O(S·(P + D)) of scanning
+// every span per stall.
 func Build(r *trace.Recorder, opts Options) *Report {
 	makespan := opts.Makespan
 	if makespan <= 0 {
@@ -188,6 +193,7 @@ func Build(r *trace.Recorder, opts Options) *Report {
 		topN = 5
 	}
 	rep := &Report{Makespan: makespan, Truncated: r.Truncated()}
+	x := newIndex(r, makespan)
 
 	// Per-disk phase accounting. Spans recorded past the makespan (a
 	// MaxSimTime cutoff leaves dispatched requests running) are clamped
@@ -203,30 +209,27 @@ func Build(r *trace.Recorder, opts Options) *Report {
 		}
 		return d
 	}
-	diskSpans := map[int][]trace.DiskSpan{}
-	for _, s := range r.DiskSpans() {
-		start, end, ok := clamp(s.Start, s.End, makespan)
-		if !ok {
-			continue
-		}
-		d := diskOf(s.Track)
-		d.Phases.add(s.Phase, end-start)
-		diskSpans[s.Track] = append(diskSpans[s.Track], trace.DiskSpan{
-			Track: s.Track, Phase: s.Phase, Start: start, End: end})
+	for _, t := range x.trackIDs {
+		diskOf(t).Phases = x.tracks[t].phases
 	}
-	for _, p := range r.PrefetchSpans() {
+	prefetches := r.PrefetchSpans()
+	for _, p := range prefetches {
 		d := diskOf(p.Track)
 		d.Prefetches++
 		d.PrefetchBlocks += p.Blocks
 	}
 
 	// Queue distributions per track.
-	queues := map[int][]trace.QueueSample{}
-	for _, q := range r.QueueSamples() {
-		queues[q.Track] = append(queues[q.Track], q)
+	qs := r.QueueSamples()
+	queues := map[int][]int32{}
+	for i, q := range qs {
+		queues[q.Track] = append(queues[q.Track], int32(i))
 	}
-	for t, samples := range queues {
-		diskOf(t).Queue = stepDistribution(samples, makespan)
+	for t, pos := range queues {
+		diskOf(t).Queue = stepDistribution(len(pos), func(i int) (sim.Time, int) {
+			q := &qs[pos[i]]
+			return q.At, q.Depth
+		}, makespan)
 	}
 
 	sort.Ints(trackOrder)
@@ -267,17 +270,16 @@ func Build(r *trace.Recorder, opts Options) *Report {
 	// Stall attribution + critical chains.
 	rep.Stall.Total = rep.CPU.Stall
 	attrStall := map[int]*DiskStall{}
-	prefetches := r.PrefetchSpans()
-	var chains []Chain
 	for _, s := range stalls {
 		c := Chain{Run: s.Run, Start: s.Start, End: s.End, Duration: s.End - s.Start}
-		p := blockingFetch(prefetches, s)
-		if p == nil {
+		i := x.blockingFetch(s)
+		if i < 0 {
 			rep.Stall.Unattributed += c.Duration
 			c.Issued = s.Start
-			chains = append(chains, c)
+			rep.Chains = keepTop(rep.Chains, c, topN)
 			continue
 		}
+		p := &prefetches[i]
 		ds, ok := attrStall[p.Track]
 		if !ok {
 			ds = &DiskStall{Name: r.TrackName(p.Track), track: p.Track}
@@ -287,14 +289,14 @@ func Build(r *trace.Recorder, opts Options) *Report {
 		ds.Count++
 		c.Disk = ds.Name
 		c.Issued = p.Issued
-		c.Phases, c.Queued = decompose(s.Start, s.End, diskSpans[p.Track])
+		c.Phases, c.Queued = x.decompose(p.Track, s.Start, s.End)
 		rep.Stall.ByPhase.Seek += c.Phases.Seek
 		rep.Stall.ByPhase.Rotation += c.Phases.Rotation
 		rep.Stall.ByPhase.Retry += c.Phases.Retry
 		rep.Stall.ByPhase.Transfer += c.Phases.Transfer
 		rep.Stall.ByPhase.Outage += c.Phases.Outage
 		rep.Stall.Queued += c.Queued
-		chains = append(chains, c)
+		rep.Chains = keepTop(rep.Chains, c, topN)
 	}
 	stallTracks := make([]int, 0, len(attrStall))
 	for t := range attrStall {
@@ -305,112 +307,74 @@ func Build(r *trace.Recorder, opts Options) *Report {
 		rep.Stall.ByDisk = append(rep.Stall.ByDisk, *attrStall[t])
 	}
 
-	sort.SliceStable(chains, func(i, j int) bool {
-		//detlint:allow floatcmp sort tie-break on recorded span bits: identical values must compare equal so the order is deterministic, no tolerance wanted
-		if chains[i].Duration != chains[j].Duration {
-			return chains[i].Duration > chains[j].Duration
-		}
-		//detlint:allow floatcmp sort tie-break on recorded span bits: identical values must compare equal so the order is deterministic, no tolerance wanted
-		if chains[i].Start != chains[j].Start {
-			return chains[i].Start < chains[j].Start
-		}
-		return chains[i].Run < chains[j].Run
-	})
-	if len(chains) > topN {
-		chains = chains[:topN]
-	}
-	rep.Chains = chains
-
 	// Cache occupancy distribution.
-	rep.Cache = cacheDistribution(r.CacheSamples(), makespan)
+	cs := r.CacheSamples()
+	rep.Cache = stepDistribution(len(cs), func(i int) (sim.Time, int) {
+		return cs[i].At, cs[i].Occupied
+	}, makespan)
 	return rep
 }
 
-// blockingFetch names the prefetch span a stall was waiting on, by a
-// cascade of increasingly loose joins:
-//
-//  1. A same-run fetch in flight at the stall's end — the stall ended
-//     because a block of run s.Run arrived, so the fetch that spans the
-//     wake-up instant is the blocker. Earliest-issued wins ties.
-//  2. Any-run fetch completing exactly at the stall's end: under
-//     Synchronized batches the CPU waits for the whole batch, so the
-//     wake-up fetch can serve a different run.
-//  3. A same-run fetch merely overlapping the stall (latest-done wins):
-//     covers arrival races where the waking deposit was recorded just
-//     before the stall span closed.
-//
-// Returns nil when nothing matches (a truncated trace).
-func blockingFetch(prefetches []trace.PrefetchSpan, s trace.CPUSpan) *trace.PrefetchSpan {
-	var best *trace.PrefetchSpan
-	for i := range prefetches {
-		p := &prefetches[i]
-		if p.Run != s.Run || p.Issued > s.End || p.Done < s.End {
-			continue
-		}
-		if best == nil || p.Issued < best.Issued {
-			best = p
-		}
+// keepTop files c into top, the at most n longest chains so far in
+// report order: longest first, then earliest start, then lowest run,
+// then first seen. It keeps exactly the first n chains a stable sort of
+// every chain would.
+func keepTop(top []Chain, c Chain, n int) []Chain {
+	i := len(top)
+	for i > 0 && longer(c, top[i-1]) {
+		i--
 	}
-	if best != nil {
-		return best
+	if i >= n {
+		return top
 	}
-	for i := range prefetches {
-		p := &prefetches[i]
-		//detlint:allow floatcmp synchronized batches wake the CPU at the exact recorded completion instant; both sides are the same kernel timestamp, so equality is bit-identity, not arithmetic
-		if p.Done == s.End {
-			if best == nil || p.Issued < best.Issued {
-				best = p
-			}
-		}
+	if len(top) < n {
+		top = append(top, Chain{})
 	}
-	if best != nil {
-		return best
-	}
-	for i := range prefetches {
-		p := &prefetches[i]
-		if p.Run != s.Run || p.Done <= s.Start || p.Issued >= s.End {
-			continue
-		}
-		if best == nil || p.Done > best.Done {
-			best = p
-		}
-	}
-	return best
+	copy(top[i+1:], top[i:len(top)-1])
+	top[i] = c
+	return top
 }
 
-// decompose intersects the interval [start, end) with a track's phase
-// spans, returning per-phase overlap and the uncovered remainder.
-func decompose(start, end sim.Time, spans []trace.DiskSpan) (PhaseBreakdown, sim.Time) {
-	var b PhaseBreakdown
-	for _, sp := range spans {
-		lo, hi := sp.Start, sp.End
-		if lo < start {
-			lo = start
-		}
-		if hi > end {
-			hi = end
-		}
-		if hi > lo {
-			b.add(sp.Phase, hi-lo)
-		}
+// longer reports whether chain a strictly precedes b in report order.
+func longer(a, b Chain) bool {
+	//detlint:allow floatcmp sort tie-break on recorded span bits: identical values must compare equal so the order is deterministic, no tolerance wanted
+	if a.Duration != b.Duration {
+		return a.Duration > b.Duration
 	}
-	queued := (end - start) - b.Busy()
-	if queued < 0 {
-		queued = 0
+	//detlint:allow floatcmp sort tie-break on recorded span bits: identical values must compare equal so the order is deterministic, no tolerance wanted
+	if a.Start != b.Start {
+		return a.Start < b.Start
 	}
-	return b, queued
+	return a.Run < b.Run
 }
 
 // stepDistribution integrates a right-continuous step function given by
-// chronological samples over [0, makespan]; the level is 0 before the
-// first sample and holds the last sample's value to the end.
-func stepDistribution(samples []trace.QueueSample, makespan sim.Time) Distribution {
-	if len(samples) == 0 || makespan <= 0 {
+// n samples over [0, makespan]; sample(i) returns the i-th sample's
+// instant and level. The level is 0 before the first sample and holds
+// the last sample's value to the end. Samples are taken in time order,
+// equal instants in sample order; the engine records them that way, so
+// only out-of-order input pays for a sort.
+func stepDistribution(n int, sample func(int) (sim.Time, int), makespan sim.Time) Distribution {
+	if n == 0 || makespan <= 0 {
 		return Distribution{}
 	}
-	levels := make([]trace.QueueSample, len(samples))
-	copy(levels, samples)
-	sort.SliceStable(levels, func(i, j int) bool { return levels[i].At < levels[j].At })
+	for i := 1; i < n; i++ {
+		prev, _ := sample(i - 1)
+		if at, _ := sample(i); at < prev {
+			order := make([]int, n)
+			for j := range order {
+				order[j] = j
+			}
+			sort.SliceStable(order, func(a, b int) bool {
+				ta, _ := sample(order[a])
+				tb, _ := sample(order[b])
+				return ta < tb
+			})
+			inner := sample
+			sample = func(i int) (sim.Time, int) { return inner(order[i]) }
+			break
+		}
+	}
 	timeAt := map[int]sim.Time{}
 	var integral float64
 	maxDepth := 0
@@ -422,15 +386,15 @@ func stepDistribution(samples []trace.QueueSample, makespan sim.Time) Distributi
 			integral += float64(depth) * float64(dt)
 		}
 	}
-	for _, s := range levels {
-		at := s.At
+	for i := 0; i < n; i++ {
+		at, depth := sample(i)
 		if at > makespan {
 			at = makespan
 		}
 		account(at, prevDepth)
-		prevAt, prevDepth = at, s.Depth
-		if s.Depth > maxDepth {
-			maxDepth = s.Depth
+		prevAt, prevDepth = at, depth
+		if depth > maxDepth {
+			maxDepth = depth
 		}
 	}
 	account(makespan, prevDepth)
@@ -450,15 +414,6 @@ func stepDistribution(samples []trace.QueueSample, makespan sim.Time) Distributi
 		}
 	}
 	return Distribution{Mean: integral / float64(makespan), Max: maxDepth, P95: p95}
-}
-
-// cacheDistribution adapts cache samples to stepDistribution.
-func cacheDistribution(samples []trace.CacheSample, makespan sim.Time) Distribution {
-	qs := make([]trace.QueueSample, len(samples))
-	for i, s := range samples {
-		qs[i] = trace.QueueSample{At: s.At, Depth: s.Occupied}
-	}
-	return stepDistribution(qs, makespan)
 }
 
 // clamp restricts [start, end) to [0, makespan), reporting false for

@@ -542,3 +542,32 @@ func TestSortFromStream(t *testing.T) {
 		t.Fatal("stream-fed sort wrong")
 	}
 }
+
+// TestRunFormationAllocations bounds run formation at O(blocks)
+// allocations: records are copied into memory slots and output blocks,
+// never allocated one by one. 200,000 8-byte records make 391 blocks of
+// 512 records.
+func TestRunFormationAllocations(t *testing.T) {
+	data := randomData(5, 200_000)
+	for _, f := range []RunFormation{LoadSort, ReplacementSelection} {
+		t.Run(f.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.RecordSize = 8
+			cfg.Formation = f
+			blocks := (200_000 + cfg.RecordsPerBlock() - 1) / cfg.RecordsPerBlock()
+			allocs := testing.AllocsPerRun(1, func() {
+				in, err := NewSliceReader(data, cfg.RecordSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := FormRuns(cfg, in, NewMemStore()); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("%v: %.0f allocations for %d blocks", f, allocs, blocks)
+			if limit := float64(2 * blocks); allocs > limit {
+				t.Fatalf("%v made %.0f allocations for %d blocks, want at most %.0f", f, allocs, blocks, limit)
+			}
+		})
+	}
+}

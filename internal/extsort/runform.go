@@ -161,33 +161,37 @@ func formReplacementSelection(cfg Config, input RecordReader, store RunStore) (i
 	h := &rsHeap{cfg: cfg}
 	var total int64
 
-	readOne := func() (rsItem, bool, error) {
+	// readOne returns the next input record, valid until the next call.
+	readOne := func() ([]byte, bool, error) {
 		rec, err := input.Next()
 		if errors.Is(err, io.EOF) {
-			return rsItem{}, false, nil
+			return nil, false, nil
 		}
 		if err != nil {
-			return rsItem{}, false, err
+			return nil, false, err
 		}
 		if len(rec) != cfg.RecordSize {
-			return rsItem{}, false, ErrShortRecord
+			return nil, false, ErrShortRecord
 		}
-		cp := make([]byte, len(rec))
-		copy(cp, rec)
 		total++
-		return rsItem{rec: cp}, true, nil
+		return rec, true, nil
 	}
 
-	// Prime the heap.
+	// Prime the heap. Each heap record owns one slot of the arena,
+	// which is never regrown; a record leaving the heap hands its slot
+	// to the record that replaces it.
+	arena := make([]byte, 0, capacity*cfg.RecordSize)
 	for len(h.items) < capacity {
-		it, ok, err := readOne()
+		rec, ok, err := readOne()
 		if err != nil {
 			return total, err
 		}
 		if !ok {
 			break
 		}
-		h.push(it)
+		start := len(arena)
+		arena = append(arena, rec...)
+		h.push(rsItem{rec: arena[start:len(arena):len(arena)]})
 	}
 	if len(h.items) == 0 {
 		return 0, nil
@@ -214,17 +218,20 @@ func formReplacementSelection(cfg Config, input RecordReader, store RunStore) (i
 			return total, err
 		}
 
-		next, ok, err := readOne()
+		rec, ok, err := readOne()
 		if err != nil {
 			return total, err
 		}
 		if ok {
-			next.epoch = epoch
+			next := rsItem{epoch: epoch, rec: it.rec}
 			// A record smaller than the one just emitted cannot join the
-			// current run; fence it into the next epoch.
-			if cfg.less(next.rec, it.rec) {
+			// current run; fence it into the next epoch. Only then may
+			// it take over the emitted record's slot: the sink already
+			// holds its own copy.
+			if cfg.less(rec, it.rec) {
 				next.epoch = epoch + 1
 			}
+			copy(next.rec, rec)
 			h.push(next)
 		}
 	}

@@ -157,3 +157,23 @@ func TestSimulateMergeClampsN(t *testing.T) {
 		}
 	}
 }
+
+func TestMergeConfigClamps(t *testing.T) {
+	// MergeConfig is the one place the clamps live: cmd/extsort prints
+	// its D and N as the values the rows ran at.
+	g := sortForSim(t, 15, 600, LoadSort)
+	k := len(g.RunBlocks)
+	base := simBase(k+3, 40, true)
+	base.CacheBlocks = 0
+	cfg, err := MergeConfig(g, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.K != k || cfg.D != k || cfg.N != 16 || cfg.CacheBlocks != cfg.DefaultCache() {
+		t.Fatalf("K=%d D=%d N=%d cache %d, want K=D=%d, N=16, cache %d",
+			cfg.K, cfg.D, cfg.N, cfg.CacheBlocks, k, cfg.DefaultCache())
+	}
+	if _, err := MergeConfig(Group{}, base); err == nil {
+		t.Fatal("an empty group was accepted")
+	}
+}
