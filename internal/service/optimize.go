@@ -41,13 +41,11 @@ type DimensionRequest struct {
 }
 
 // OptimizeSpaceRequest is the wire form of the search space. Omitted
-// dimensions are pinned at the template's value. For cache_blocks that
-// is the template's resolved cache: a template without cache_blocks
-// pins the natural size for its own k, D, N and strategy, and every
-// candidate runs in that many blocks. Template {k: 6, d: 3,
-// blocks_per_run: 40} searched over n: [1, 4] runs N = 4 in a 6-block
-// cache, at success ratio 0.026. "cache_blocks": {"values": [0]} sizes
-// the natural cache at each candidate instead.
+// dimensions are pinned at the template's value, except cache_blocks:
+// when both it and the template's cache_blocks are omitted, each
+// candidate runs in its own natural cache (kN, plus DN under
+// inter-run), as if the space held "cache_blocks": {"values": [0]}. A
+// template that sets cache_blocks pins that size for every candidate.
 type OptimizeSpaceRequest struct {
 	K           *DimensionRequest `json:"k,omitempty"`
 	D           *DimensionRequest `json:"d,omitempty"`
@@ -216,6 +214,14 @@ func (s *Service) buildSpec(req OptimizeRequest) (optimize.Spec, error) {
 	}
 	if err := spec.Validate(); err != nil {
 		return optimize.Spec{}, badRequestf("%v", err)
+	}
+	// An omitted cache dimension sizes the natural cache of each
+	// candidate: the template's own natural cache would starve a larger
+	// N. A template that sets cache_blocks keeps pinning it. This comes
+	// after Validate so that a space with nothing else searched is still
+	// rejected as empty.
+	if req.Space.CacheBlocks == nil && tmpl.CacheBlocks == 0 {
+		spec.Space.CacheBlocks = optimize.Dimension{Values: []int{optimize.NaturalCache}}
 	}
 	return spec, nil
 }

@@ -327,3 +327,62 @@ func TestOptimizeSharesCacheWithSimulate(t *testing.T) {
 		t.Errorf("cache_served = %d, want exactly the pre-simulated point", r.CacheServed)
 	}
 }
+
+// TestOptimizeOmittedCacheIsNatural checks what an omitted cache_blocks
+// dimension means: each candidate's natural cache when the template
+// sets none, the template's size when it does. At k=6, D=3 the natural
+// cache is 6 blocks for N=1 and 24 for N=4; pinned at 6 blocks, N=4
+// starves (success ratio 0.026).
+func TestOptimizeOmittedCacheIsNatural(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	type entry struct {
+		Params struct {
+			N           int `json:"n"`
+			CacheBlocks int `json:"cache_blocks"`
+		} `json:"params"`
+		Seconds float64 `json:"seconds"`
+		Success float64 `json:"success_ratio"`
+	}
+	search := func(cacheBlocks int) []entry {
+		t.Helper()
+		req := OptimizeRequest{
+			Template: &SimulateRequest{K: 6, D: 3, BlocksPerRun: 40, CacheBlocks: cacheBlocks},
+			Space:    OptimizeSpaceRequest{N: &DimensionRequest{Values: []int{1, 4}}},
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/optimize", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("template cache %d: status %d: %s", cacheBlocks, resp.StatusCode, body)
+		}
+		r := decodeOptResponse(t, body)
+		out := make([]entry, len(r.Trace))
+		for i, raw := range r.Trace {
+			if err := json.Unmarshal(raw, &out[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(out) != 2 || out[0].Params.N != 1 || out[1].Params.N != 4 {
+			t.Fatalf("template cache %d: trace %s", cacheBlocks, body)
+		}
+		return out
+	}
+
+	natural := search(0)
+	if natural[0].Params.CacheBlocks != 6 || natural[1].Params.CacheBlocks != 24 {
+		t.Errorf("omitted cache: N=1 in %d blocks, N=4 in %d, want 6 and 24",
+			natural[0].Params.CacheBlocks, natural[1].Params.CacheBlocks)
+	}
+	if natural[1].Success != 1 || natural[1].Seconds >= natural[0].Seconds/2 {
+		t.Errorf("N=4 in its natural cache: %.3f s at success %.3f (N=1: %.3f s)",
+			natural[1].Seconds, natural[1].Success, natural[0].Seconds)
+	}
+
+	pinned := search(6)
+	for _, e := range pinned {
+		if e.Params.CacheBlocks != 6 {
+			t.Errorf("template cache 6: N=%d ran in %d blocks", e.Params.N, e.Params.CacheBlocks)
+		}
+	}
+	if pinned[1].Success > 0.1 {
+		t.Errorf("N=4 pinned at 6 blocks: success %.3f, want starved", pinned[1].Success)
+	}
+}
