@@ -1,10 +1,15 @@
 // Command calibrate reproduces the OCR parameter reconstruction of
 // DESIGN.md §1: the paper's text is digit-garbled, so the disk
 // constants (S, R, T) were recovered by fitting the paper's own
-// closed-form equations to the anchor values that survive in the
-// prose. This tool performs that fit as a grid search and prints the
-// residuals of the winning parameter set, demonstrating that the
-// committed constants are the ones the anchors determine.
+// closed-form equations to the anchor values of its prose. This tool
+// performs that fit as a grid search over the eq 1–5 rows of
+// analysis.Anchors and prints the residuals of the winning parameter
+// set.
+//
+// The targets are the reconstruction's own totals, rounded as quoted,
+// so small residuals show that the committed constants are consistent
+// with them. The evidence from the prose is the glyph column: the
+// digits of each value that survive OCR, x for a lost one.
 //
 // Usage:
 //
@@ -23,47 +28,20 @@ import (
 	"repro/internal/sim"
 )
 
-// anchor is one legible value from the paper's prose: a configuration,
-// which equation predicts it, and the target in seconds.
-type anchor struct {
-	name    string
-	k, d, n int
-	eq      func(m analysis.Model) sim.Time // per-block expression
-	target  float64                         // seconds, from the prose
-}
-
-// anchors returns the spot values used for the fit. Targets are the
-// digit sequences that survive OCR (see DESIGN.md §1); each is the
-// total for 1000-block runs.
-func anchors() []anchor {
-	return []anchor{
-		{"eq1 k=25 D=1", 25, 1, 1, analysis.Model.Eq1NoPrefetchSingleDisk, 339.8},
-		{"eq1 k=50 D=1", 50, 1, 1, analysis.Model.Eq1NoPrefetchSingleDisk, 810},
-		{"eq2 k=25 N=10", 25, 1, 10, analysis.Model.Eq2IntraSingleDisk, 93.8},
-		{"eq2 k=50 N=10", 50, 1, 10, analysis.Model.Eq2IntraSingleDisk, 200.7},
-		{"eq3 k=25 D=5", 25, 5, 1, analysis.Model.Eq3NoPrefetchMultiDisk, 287.4},
-		{"eq3 k=50 D=10", 50, 10, 1, analysis.Model.Eq3NoPrefetchMultiDisk, 574.5},
-		{"eq4 k=25 D=5 N=10", 25, 5, 10, analysis.Model.Eq4IntraMultiDiskSync, 88.6},
-		{"eq5 k=25 D=5 N=10", 25, 5, 10, analysis.Model.Eq5InterMultiDiskSync, 20.5},
-	}
-}
-
-// model builds the analytic model for a candidate parameter set.
-func model(s, r, t float64, k, d, n int) analysis.Model {
+// params returns the paper's disk with the candidate S, R and T (ms).
+func params(s, r, t float64) disk.Params {
 	p := disk.PaperParams()
 	p.SeekPerCylinder = sim.Ms(s)
 	p.AvgRotational = sim.Ms(r)
 	p.TransferPerBlock = sim.Ms(t)
-	return analysis.FromConfig(p, k, d, n, 1000)
+	return p
 }
 
 // loss returns the sum of squared relative errors over the anchors.
-func loss(s, r, t float64) float64 {
+func loss(p disk.Params, anchors []analysis.Anchor) float64 {
 	sum := 0.0
-	for _, a := range anchors() {
-		m := model(s, r, t, a.k, a.d, a.n)
-		got := m.TotalTime(a.eq(m), 1000).Seconds()
-		rel := (got - a.target) / a.target
+	for _, a := range anchors {
+		rel := (analysis.Predict(p, a.Shape).Seconds() - a.Seconds) / a.Seconds
 		sum += rel * rel
 	}
 	return sum
@@ -72,6 +50,15 @@ func loss(s, r, t float64) float64 {
 func main() {
 	fine := flag.Bool("fine", false, "refine around the committed constants instead of the broad grid")
 	flag.Parse()
+
+	// The fit uses the rows of equations (1)–(5); the urn-game row is
+	// an asymptote for large N, not an equation at its own N.
+	var anchors []analysis.Anchor
+	for _, a := range analysis.Anchors {
+		if a.Shape.Form() != analysis.Eq4Urn {
+			anchors = append(anchors, a)
+		}
+	}
 
 	// Candidate grids. R is tied to plausible spindle speeds (half a
 	// revolution at 7200/5400/3600/2400 RPM); T to era transfer rates;
@@ -90,7 +77,7 @@ func main() {
 	for _, s := range sGrid {
 		for _, r := range rGrid {
 			for _, t := range tGrid {
-				if l := loss(s, r, t); l < best {
+				if l := loss(params(s, r, t), anchors); l < best {
 					best, bestS, bestR, bestT = l, s, r, t
 				}
 			}
@@ -101,15 +88,17 @@ func main() {
 		os.Exit(1)
 	}
 
+	committed := disk.PaperParams()
 	fmt.Printf("best fit: S = %.4f ms/cyl, R = %.2f ms, T = %.3f ms  (loss %.3g)\n",
 		bestS, bestR, bestT, best)
-	fmt.Printf("committed: S = 0.0200 ms/cyl, R = 8.33 ms, T = 2.660 ms\n\n")
-	fmt.Printf("%-20s %10s %10s %8s\n", "anchor", "target", "fit", "rel err")
-	for _, a := range anchors() {
-		m := model(bestS, bestR, bestT, a.k, a.d, a.n)
-		got := m.TotalTime(a.eq(m), 1000).Seconds()
-		fmt.Printf("%-20s %10.1f %10.1f %+7.1f%%\n",
-			a.name, a.target, got, 100*(got-a.target)/a.target)
+	fmt.Printf("committed: S = %.4f ms/cyl, R = %.2f ms, T = %.3f ms\n\n",
+		float64(committed.SeekPerCylinder), float64(committed.AvgRotational), float64(committed.TransferPerBlock))
+	fmt.Printf("%-26s %-5s %-6s %8s %8s %8s\n", "anchor", "form", "prose", "target", "fit", "rel err")
+	fit := params(bestS, bestR, bestT)
+	for _, a := range anchors {
+		got := analysis.Predict(fit, a.Shape).Seconds()
+		fmt.Printf("%-26s %-5s %-6s %8g %8.1f %+7.1f%%\n",
+			a.Case, a.Shape.Form(), a.Glyphs, a.Seconds, got, 100*(got-a.Seconds)/a.Seconds)
 	}
 }
 

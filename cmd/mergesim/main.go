@@ -228,27 +228,22 @@ func emitJSON(agg core.Aggregate, traceTruncated bool) {
 	}
 }
 
-// printPredictions prints the applicable closed-form expression(s).
+// predictions holds the sentence mergesim prints for each closed form.
+var predictions = [...]string{
+	analysis.Eq1:           "eq(1) predicts %.3f s",
+	analysis.Eq2:           "eq(2) predicts %.3f s",
+	analysis.Eq3:           "eq(3) predicts %.3f s",
+	analysis.Eq4:           "eq(4) predicts %.3f s",
+	analysis.Eq4Urn:        "eq(4)/urn-game asymptote %.3f s (large N)",
+	analysis.Eq5:           "eq(5) predicts %.3f s (ample cache)",
+	analysis.TransferFloor: "lower bound kTB/D = %.3f s",
+}
+
+// printPredictions prints the closed form that models cfg's shape.
 func printPredictions(cfg core.Config) {
-	m := analysis.FromConfig(cfg.Disk, cfg.K, cfg.D, cfg.N, cfg.BlocksPerRun)
-	b := cfg.BlocksPerRun
-	switch {
-	case !cfg.InterRun && cfg.D == 1 && cfg.N == 1:
-		fmt.Printf("analytic       eq(1) predicts %.3f s\n", m.TotalTime(m.Eq1NoPrefetchSingleDisk(), b).Seconds())
-	case !cfg.InterRun && cfg.D == 1:
-		fmt.Printf("analytic       eq(2) predicts %.3f s\n", m.TotalTime(m.Eq2IntraSingleDisk(), b).Seconds())
-	case !cfg.InterRun && cfg.N == 1:
-		fmt.Printf("analytic       eq(3) predicts %.3f s\n", m.TotalTime(m.Eq3NoPrefetchMultiDisk(), b).Seconds())
-	case !cfg.InterRun && cfg.Synchronized:
-		fmt.Printf("analytic       eq(4) predicts %.3f s\n", m.TotalTime(m.Eq4IntraMultiDiskSync(), b).Seconds())
-	case !cfg.InterRun:
-		fmt.Printf("analytic       eq(4)/urn-game asymptote %.3f s (large N)\n",
-			m.IntraUnsyncAsymptotic(b).Seconds())
-	case cfg.Synchronized:
-		fmt.Printf("analytic       eq(5) predicts %.3f s (ample cache)\n", m.TotalTime(m.Eq5InterMultiDiskSync(), b).Seconds())
-	default:
-		fmt.Printf("analytic       lower bound kTB/D = %.3f s\n", m.MultiDiskFloor(b).Seconds())
-	}
+	s := analysis.Shape{K: cfg.K, D: cfg.D, N: cfg.N, BlocksPerRun: cfg.BlocksPerRun,
+		InterRun: cfg.InterRun, Synchronized: cfg.Synchronized}
+	fmt.Printf("analytic       "+predictions[s.Form()]+"\n", analysis.Predict(cfg.Disk, s).Seconds())
 }
 
 // writeTrace exports the recorded trace, surfacing flush and close

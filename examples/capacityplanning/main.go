@@ -28,8 +28,9 @@ func main() {
 	base.D = d
 	base.InterRun = true
 
-	model := analysis.FromConfig(base.Disk, k, d, 1, base.BlocksPerRun)
-	floor := model.MultiDiskFloor(base.BlocksPerRun).Seconds()
+	// Unsynchronized inter-run prefetching has only the kTB/D floor.
+	shape := analysis.Shape{K: k, D: d, N: 1, BlocksPerRun: base.BlocksPerRun, InterRun: true}
+	floor := analysis.Predict(base.Disk, shape).Seconds()
 	fmt.Printf("merge of %d runs on %d disks; transfer floor %.1f s; budget %.1f s\n\n",
 		k, d, floor, budget)
 	fmt.Printf("%10s  %4s  %10s  %9s\n", "cache", "N", "total (s)", "success")
@@ -38,7 +39,7 @@ func main() {
 		// Scan prefetch depths around the analytic knee and keep the
 		// fastest — the paper's observation is that each cache size has
 		// its own optimal N.
-		knee := model.OptimalNForCache(cacheBlocks)
+		knee := shape.OptimalNForCache(cacheBlocks)
 		bestN, bestTime, bestSuccess := 0, 0.0, 0.0
 		for _, n := range []int{1, knee / 2, knee, knee + knee/2, 2 * knee} {
 			if n < 1 || (bestN != 0 && n == bestN) {

@@ -17,19 +17,17 @@ func main() {
 	// Start from the paper's defaults: calibrated RA-series disk,
 	// round-robin run placement, all-or-demand admission.
 	base := core.Default() // k=25, D=5, N=1
-
-	model := analysis.FromConfig(base.Disk, base.K, base.D, 10, base.BlocksPerRun)
+	shape := analysis.Shape{K: base.K, D: base.D, N: base.N, BlocksPerRun: base.BlocksPerRun}
 
 	fmt.Println("Merging 25 runs x 1000 blocks from 5 disks (unsynchronized):")
 
-	// 1. The Kwan-Baer baseline: fetch only the demand block.
+	// 1. The Kwan-Baer baseline: fetch only the demand block (eq 3).
 	res, err := core.Run(base)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  no prefetch:        %6.1f s   (eq 3 predicts %.1f)\n",
-		res.TotalTime.Seconds(),
-		model.TotalTime(model.Eq3NoPrefetchMultiDisk(), base.BlocksPerRun).Seconds())
+		res.TotalTime.Seconds(), analysis.Predict(base.Disk, shape).Seconds())
 
 	// 2. Intra-run prefetching: N=10 contiguous blocks per fetch.
 	intra := base
@@ -50,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	shape.N, shape.InterRun = inter.N, true
 	fmt.Printf("  inter+intra, N=10:  %6.1f s   (overlap %.2f disks, floor kTB/D = %.1f)\n",
-		res.TotalTime.Seconds(), res.MeanConcurrencyWhenBusy,
-		model.MultiDiskFloor(base.BlocksPerRun).Seconds())
+		res.TotalTime.Seconds(), res.MeanConcurrencyWhenBusy, analysis.Predict(base.Disk, shape).Seconds())
 }

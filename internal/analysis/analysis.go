@@ -2,8 +2,9 @@
 // models: equations (1)–(5) for the average per-block I/O time of each
 // strategy, the urn-game analysis of the asymptotic disk concurrency of
 // unsynchronized intra-run prefetching, and the transfer-time lower
-// bounds. The validation tests compare simulation output against these
-// expressions exactly as the paper does.
+// bound. Predict picks the form that models a merge shape and returns
+// its total; Anchors holds the spot values the paper's prose quotes,
+// against which the tests and the anchors figure check the simulator.
 package analysis
 
 import (
@@ -102,22 +103,97 @@ func (m Model) Eq5InterMultiDiskSync() sim.Time {
 	return sim.Time(seek + rot + xfer)
 }
 
-// TotalTime converts a per-block time to a total for the whole merge of
-// k runs of blocksPerRun blocks.
-func (m Model) TotalTime(perBlock sim.Time, blocksPerRun int) sim.Time {
-	return perBlock * sim.Time(m.K*blocksPerRun)
+// Shape is a merge configuration as the closed forms see it.
+type Shape struct {
+	K, D, N      int // runs, disks, intra-run prefetch depth
+	BlocksPerRun int
+	InterRun     bool
+	Synchronized bool
 }
 
-// SingleDiskFloor returns the transfer-bound lower bound for one disk:
-// T per block.
-func (m Model) SingleDiskFloor(blocksPerRun int) sim.Time {
-	return m.T * sim.Time(m.K*blocksPerRun)
+// Form names the closed form that models a Shape.
+type Form int
+
+const (
+	Eq1           Form = iota // no prefetching, one disk
+	Eq2                       // intra-run prefetching, one disk
+	Eq3                       // no prefetching, D disks
+	Eq4                       // synchronized intra-run prefetching
+	Eq4Urn                    // unsynchronized intra-run: eq 4 over the urn-game overlap, for large N
+	Eq5                       // synchronized inter-run prefetching, ample cache
+	TransferFloor             // unsynchronized inter-run: the kTB/D lower bound only
+)
+
+// String labels the form as the anchors figure does.
+func (f Form) String() string {
+	return [...]string{"eq 1", "eq 2", "eq 3", "eq 4", "eq4/urn", "eq 5", "kTB/D"}[f]
 }
 
-// MultiDiskFloor returns the lower bound with D disks: the total
-// transfer time divided by D.
-func (m Model) MultiDiskFloor(blocksPerRun int) sim.Time {
-	return m.T * sim.Time(m.K*blocksPerRun) / sim.Time(m.D)
+// Form picks the closed form that models s.
+func (s Shape) Form() Form {
+	switch {
+	case !s.InterRun && s.D == 1 && s.N == 1:
+		return Eq1
+	case !s.InterRun && s.D == 1:
+		return Eq2
+	case !s.InterRun && s.N == 1:
+		return Eq3
+	case !s.InterRun && s.Synchronized:
+		return Eq4
+	case !s.InterRun:
+		return Eq4Urn
+	case s.Synchronized:
+		return Eq5
+	default:
+		return TransferFloor
+	}
+}
+
+// Predict returns the total merge time s.Form() predicts for s on disks
+// with parameters p: a per-block time times the kB blocks merged, eq 4's
+// total over the urn game's expected concurrency, or the kTB/D floor.
+func Predict(p disk.Params, s Shape) sim.Time {
+	m := FromConfig(p, s.K, s.D, s.N, s.BlocksPerRun)
+	blocks := sim.Time(s.K * s.BlocksPerRun)
+	switch s.Form() {
+	case Eq1:
+		return m.Eq1NoPrefetchSingleDisk() * blocks
+	case Eq2:
+		return m.Eq2IntraSingleDisk() * blocks
+	case Eq3:
+		return m.Eq3NoPrefetchMultiDisk() * blocks
+	case Eq4:
+		return m.Eq4IntraMultiDiskSync() * blocks
+	case Eq4Urn:
+		return sim.Time(float64(m.Eq4IntraMultiDiskSync()*blocks) / UrnGameExpectedLength(s.D))
+	case Eq5:
+		return m.Eq5InterMultiDiskSync() * blocks
+	default:
+		return m.T * blocks / sim.Time(s.D)
+	}
+}
+
+// Anchor is one row of the anchors figure: a spot value of §3.1–3.2.
+type Anchor struct {
+	Case    string  // the figure's row label
+	Shape   Shape   // the configuration, with 1000-block runs
+	Seconds float64 // the reconstruction's total merge time (DESIGN §1)
+	Glyphs  string  // the value as the OCR'd prose shows it, x for a lost digit; "" where none is quoted
+}
+
+// Anchors lists the anchors figure's rows in order, the one copy of
+// these values. Each is the model's own total at the committed disk
+// constants, rounded as quoted; only Glyphs is evidence from the prose.
+var Anchors = []Anchor{
+	{"no prefetch, k=25, D=1", Shape{K: 25, D: 1, N: 1, BlocksPerRun: 1000}, 339.8, ""},
+	{"no prefetch, k=50, D=1", Shape{K: 50, D: 1, N: 1, BlocksPerRun: 1000}, 810, ""},
+	{"intra N=10, k=25, D=1", Shape{K: 25, D: 1, N: 10, BlocksPerRun: 1000}, 93.8, "9x.x"},
+	{"intra N=10, k=50, D=1", Shape{K: 50, D: 1, N: 10, BlocksPerRun: 1000}, 200.7, "xxx.x"},
+	{"no prefetch, k=25, D=5", Shape{K: 25, D: 5, N: 1, BlocksPerRun: 1000}, 287.25, "2xx.x"},
+	{"no prefetch, k=50, D=10", Shape{K: 50, D: 10, N: 1, BlocksPerRun: 1000}, 574.5, ""},
+	{"sync intra N=10, k=25, D=5", Shape{K: 25, D: 5, N: 10, BlocksPerRun: 1000, Synchronized: true}, 88.6, "xx.x"},
+	{"sync inter N=10, k=25, D=5", Shape{K: 25, D: 5, N: 10, BlocksPerRun: 1000, InterRun: true, Synchronized: true}, 20.5, "20.x"},
+	{"unsync intra N=30, k=25, D=5 (asymptotic)", Shape{K: 25, D: 5, N: 30, BlocksPerRun: 1000}, 29.4, "29.x"},
 }
 
 // UrnGameExpectedLength returns the exact expected length of the
@@ -158,14 +234,6 @@ func UrnGameLengthPMF(d int) []float64 {
 	return pmf
 }
 
-// IntraUnsyncAsymptotic estimates the unsynchronized intra-run total
-// time for large N as the synchronized time divided by the urn-game
-// concurrency, as the paper does for its asymptotic estimates.
-func (m Model) IntraUnsyncAsymptotic(blocksPerRun int) sim.Time {
-	sync := m.TotalTime(m.Eq4IntraMultiDiskSync(), blocksPerRun)
-	return sim.Time(float64(sync) / UrnGameExpectedLength(m.D))
-}
-
 // OptimalNForCache returns a rule-of-thumb prefetch depth for a cache
 // of c blocks under combined inter+intra prefetching: the paper
 // observes that for a given cache size there is an optimal N balancing
@@ -173,8 +241,8 @@ func (m Model) IntraUnsyncAsymptotic(blocksPerRun int) sim.Time {
 // random runs, per-run buffers random-walk to roughly twice their mean,
 // so the knee sits near k·N + D·N ≈ c/2; this returns that N (at least
 // 1). The ablation bench validates it against a full simulated N-scan.
-func (m Model) OptimalNForCache(c int) int {
-	n := c / (2 * (m.K + m.D))
+func (s Shape) OptimalNForCache(c int) int {
+	n := c / (2 * (s.K + s.D))
 	if n < 1 {
 		return 1
 	}

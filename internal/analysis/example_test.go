@@ -7,18 +7,20 @@ import (
 	"repro/internal/disk"
 )
 
-// ExampleModel reproduces the paper's §3 spot calculations.
+// ExampleModel reproduces the paper's §3 spot calculations for k=25
+// runs of 1000 blocks, each through the closed form Predict picks.
 func ExampleModel() {
-	m := analysis.FromConfig(disk.PaperParams(), 25, 5, 10, 1000)
+	p := disk.PaperParams()
+	predict := func(s analysis.Shape) float64 { return analysis.Predict(p, s).Seconds() }
 
 	fmt.Printf("eq1 single-disk no-prefetch: %.1f s\n",
-		m.TotalTime(m.Eq1NoPrefetchSingleDisk(), 1000).Seconds())
+		predict(analysis.Shape{K: 25, D: 1, N: 1, BlocksPerRun: 1000}))
 	fmt.Printf("eq4 sync intra, 5 disks:     %.1f s\n",
-		m.TotalTime(m.Eq4IntraMultiDiskSync(), 1000).Seconds())
+		predict(analysis.Shape{K: 25, D: 5, N: 10, BlocksPerRun: 1000, Synchronized: true}))
 	fmt.Printf("eq5 sync inter, 5 disks:     %.1f s\n",
-		m.TotalTime(m.Eq5InterMultiDiskSync(), 1000).Seconds())
+		predict(analysis.Shape{K: 25, D: 5, N: 10, BlocksPerRun: 1000, InterRun: true, Synchronized: true}))
 	fmt.Printf("transfer floor kTB/D:        %.1f s\n",
-		m.MultiDiskFloor(1000).Seconds())
+		predict(analysis.Shape{K: 25, D: 5, N: 10, BlocksPerRun: 1000, InterRun: true}))
 	// Output:
 	// eq1 single-disk no-prefetch: 339.8 s
 	// eq4 sync intra, 5 disks:     88.6 s

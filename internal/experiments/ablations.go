@@ -34,10 +34,7 @@ func ablationAdmission(o Options) (Output, error) {
 			g.addPoint(s, float64(c), cfg)
 		}
 	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	return Output{Figures: []*table.Figure{f}}, nil
+	return g.output(Output{Figures: []*table.Figure{f}})
 }
 
 // ablationRunChoice compares how the inter-run strategy picks the run
@@ -124,10 +121,7 @@ func ablationRotation(o Options) (Output, error) {
 			t.AddRow(m.String(), fmt.Sprintf("%.2f", a.TotalTime.Mean()))
 		})
 	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	return Output{Tables: []*table.Table{t}}, nil
+	return g.output(Output{Tables: []*table.Table{t}})
 }
 
 // ablationPlacement compares run placements. Striping a run over all
@@ -152,10 +146,7 @@ func ablationPlacement(o Options) (Output, error) {
 			})
 		}
 	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	return Output{Tables: []*table.Table{t}}, nil
+	return g.output(Output{Tables: []*table.Table{t}})
 }
 
 // ablationSeekModel compares the paper's linear seek curve against an
@@ -201,8 +192,5 @@ func ablationScheduler(o Options) (Output, error) {
 				fmt.Sprintf("%.3f", a.SuccessRatio.Mean()))
 		})
 	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	return Output{Tables: []*table.Table{t}}, nil
+	return g.output(Output{Tables: []*table.Table{t}})
 }

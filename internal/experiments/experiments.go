@@ -183,10 +183,7 @@ func nSweep(id, title string, curves ...curve) func(Options) (Output, error) {
 				g.addPoint(s, float64(n), strategyConfig(c.inter, c.k, c.d, n))
 			}
 		}
-		if err := g.run(); err != nil {
-			return Output{}, err
-		}
-		return Output{Figures: []*table.Figure{f}}, nil
+		return g.output(Output{Figures: []*table.Figure{f}})
 	}
 }
 
@@ -253,10 +250,7 @@ func fig33(o Options) (Output, error) {
 			g.addPoint(s, mt, cfg)
 		}
 	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	return Output{Figures: []*table.Figure{f}}, nil
+	return g.output(Output{Figures: []*table.Figure{f}})
 }
 
 // cacheGrid returns the cache sizes swept for figures 3.5/3.6.
@@ -304,10 +298,7 @@ func cacheSweep(idTime, idRatio string, k, d, maxCache int, o Options) (Output, 
 			})
 		}
 	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	return Output{Figures: []*table.Figure{ft, fr}}, nil
+	return g.output(Output{Figures: []*table.Figure{ft, fr}})
 }
 
 func fig35a(o Options) (Output, error) { return cacheSweep("3.5a", "3.6a", 25, 5, 1200, o) }

@@ -51,10 +51,7 @@ func extWriteTraffic(o Options) (Output, error) {
 			t.AddRow(cs.name, fmt.Sprintf("%.2f", a.TotalTime.Mean()), fmt.Sprintf("%.2f", stall))
 		})
 	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	return Output{Tables: []*table.Table{t}}, nil
+	return g.output(Output{Tables: []*table.Table{t}})
 }
 
 // extMultiPass probes the regime the paper does not study: a full
@@ -195,10 +192,7 @@ func extAdaptiveN(o Options) (Output, error) {
 			sd.Point(x, meanDepth)
 		})
 	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	return Output{Figures: []*table.Figure{f, depth}}, nil
+	return g.output(Output{Figures: []*table.Figure{f, depth}})
 }
 
 // extRealTrace sorts real records and replays the merge's actual

@@ -83,8 +83,5 @@ func extDegradedDisk(o Options) (Output, error) {
 				fmt.Sprintf("%.2f", ft.SlowdownTime.Seconds()/n))
 		})
 	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	return Output{Figures: []*table.Figure{f}, Tables: []*table.Table{t}}, nil
+	return g.output(Output{Figures: []*table.Figure{f}, Tables: []*table.Table{t}})
 }

@@ -58,6 +58,15 @@ func (g *grid) run() error {
 	return nil
 }
 
+// output runs the grid, whose consumers fill out's figures and tables,
+// and returns out.
+func (g *grid) output(out Output) (Output, error) {
+	if err := g.run(); err != nil {
+		return Output{}, err
+	}
+	return out, nil
+}
+
 // RunAll executes every spec and returns their outputs in spec order.
 // Specs are independent, so they run concurrently on the shared
 // executor (o.Workers bounds each level of the fan-out; 1 forces the

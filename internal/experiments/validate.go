@@ -6,61 +6,34 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/parallel"
-	"repro/internal/sim"
 	"repro/internal/table"
 )
 
-// anchors reproduces the paper's §3.1/§3.2 spot checks: each analytic
-// expression evaluated at the configurations quoted in the prose,
-// against the simulated value.
+// anchors reproduces the paper's §3.1/§3.2 spot checks: each row of
+// analysis.Anchors, its closed form's prediction against the simulated
+// value. The shapes' runs are core.Default's 1000 blocks.
 func anchors(o Options) (Output, error) {
 	t := &table.Table{
 		Title:   "Closed-form anchors vs simulation (seconds)",
 		Columns: []string{"case", "equation", "analytic", "simulated", "rel err"},
 	}
 
-	// Every case merges k runs of the default 1000 blocks; perBlock
-	// scales one of the paper's per-block equations to that whole merge.
-	def := core.Default()
-	perBlock := func(eq func(analysis.Model) sim.Time) func(analysis.Model) sim.Time {
-		return func(m analysis.Model) sim.Time { return m.TotalTime(eq(m), def.BlocksPerRun) }
-	}
-	cases := []struct {
-		name, eq    string
-		k, d, n     int
-		inter, sync bool
-		total       func(analysis.Model) sim.Time
-	}{
-		{"no prefetch, k=25, D=1", "eq 1", 25, 1, 1, false, false, perBlock(analysis.Model.Eq1NoPrefetchSingleDisk)},
-		{"no prefetch, k=50, D=1", "eq 1", 50, 1, 1, false, false, perBlock(analysis.Model.Eq1NoPrefetchSingleDisk)},
-		{"intra N=10, k=25, D=1", "eq 2", 25, 1, 10, false, false, perBlock(analysis.Model.Eq2IntraSingleDisk)},
-		{"intra N=10, k=50, D=1", "eq 2", 50, 1, 10, false, false, perBlock(analysis.Model.Eq2IntraSingleDisk)},
-		{"no prefetch, k=25, D=5", "eq 3", 25, 5, 1, false, false, perBlock(analysis.Model.Eq3NoPrefetchMultiDisk)},
-		{"no prefetch, k=50, D=10", "eq 3", 50, 10, 1, false, false, perBlock(analysis.Model.Eq3NoPrefetchMultiDisk)},
-		{"sync intra N=10, k=25, D=5", "eq 4", 25, 5, 10, false, true, perBlock(analysis.Model.Eq4IntraMultiDiskSync)},
-		{"sync inter N=10, k=25, D=5", "eq 5", 25, 5, 10, true, true, perBlock(analysis.Model.Eq5InterMultiDiskSync)},
-		{"unsync intra N=30, k=25, D=5 (asymptotic)", "eq4/urn", 25, 5, 30, false, false,
-			func(m analysis.Model) sim.Time { return m.IntraUnsyncAsymptotic(def.BlocksPerRun) }},
-	}
-
 	g := newGrid(o)
-	for _, c := range cases {
-		analytic := c.total(analysis.FromConfig(def.Disk, c.k, c.d, c.n, def.BlocksPerRun)).Seconds()
-		cfg := strategyConfig(c.inter, c.k, c.d, c.n)
-		cfg.Synchronized = c.sync
-		g.add(cfg, func(a core.Aggregate) {
-			secs := a.TotalTime.Mean()
+	for _, a := range analysis.Anchors {
+		s := a.Shape
+		cfg := strategyConfig(s.InterRun, s.K, s.D, s.N)
+		cfg.Synchronized = s.Synchronized
+		analytic := analysis.Predict(cfg.Disk, s).Seconds()
+		g.add(cfg, func(agg core.Aggregate) {
+			secs := agg.TotalTime.Mean()
 			rel := (secs - analytic) / analytic
-			t.AddRow(c.name, c.eq,
+			t.AddRow(a.Case, s.Form().String(),
 				fmt.Sprintf("%.2f", analytic),
 				fmt.Sprintf("%.2f", secs),
 				fmt.Sprintf("%+.1f%%", 100*rel))
 		})
 	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	return Output{Tables: []*table.Table{t}}, nil
+	return g.output(Output{Tables: []*table.Table{t}})
 }
 
 // trMarkov reconstructs the companion TR's Markov analysis that the
@@ -142,8 +115,5 @@ func concurrency(o Options) (Output, error) {
 			)
 		})
 	}
-	if err := g.run(); err != nil {
-		return Output{}, err
-	}
-	return Output{Tables: []*table.Table{t}}, nil
+	return g.output(Output{Tables: []*table.Table{t}})
 }
