@@ -47,12 +47,18 @@ func main() {
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
+	if *records < 0 {
+		fatal(fmt.Errorf("-records = %d (want 0 or more)", *records))
+	}
 
-	// Synthesize input.
+	// Synthesize input, one random draw per 8 bytes; a last partial
+	// word takes the draw's leading bytes.
 	r := rng.New(*seed)
 	data := make([]byte, *records**recSize)
+	var word [8]byte
 	for i := 0; i < len(data); i += 8 {
-		binary.BigEndian.PutUint64(data[i:min(i+8, len(data))], r.Uint64())
+		binary.BigEndian.PutUint64(word[:], r.Uint64())
+		copy(data[i:], word[:])
 	}
 	in, err := extsort.NewSliceReader(data, cfg.RecordSize)
 	if err != nil {
