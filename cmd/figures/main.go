@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -210,20 +211,12 @@ func verifyCSV(refPath string, f *table.Figure) error {
 			if rerr != nil || gerr != nil {
 				return fmt.Errorf("row %d col %d: %q != reference %q", i, j, gotCells[j], refCells[j])
 			}
-			tol := 1e-6 * (1 + abs(rv))
-			if diff := gv - rv; diff > tol || diff < -tol {
+			if math.Abs(gv-rv) > 1e-6*(1+math.Abs(rv)) {
 				return fmt.Errorf("row %d col %d: %v != reference %v", i, j, gv, rv)
 			}
 		}
 	}
 	return nil
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 func writeSVG(name string, f *table.Figure) error {

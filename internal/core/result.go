@@ -123,18 +123,6 @@ func (r Result) MeanBlockTime() sim.Time {
 	return r.TotalTime / sim.Time(r.MergedBlocks)
 }
 
-// DiskUtilization returns mean per-disk busy fraction over TotalTime.
-func (r Result) DiskUtilization() float64 {
-	if r.TotalTime == 0 || len(r.PerDisk) == 0 {
-		return 0
-	}
-	var busy sim.Time
-	for _, d := range r.PerDisk {
-		busy += d.BusyTime
-	}
-	return float64(busy) / (float64(r.TotalTime) * float64(len(r.PerDisk)))
-}
-
 // String summarizes the result in one line.
 func (r Result) String() string {
 	return fmt.Sprintf("%s k=%d D=%d N=%d C=%d: total=%.2fs success=%.3f overlap=%.2f",

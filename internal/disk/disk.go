@@ -74,14 +74,6 @@ type Stats struct {
 	SlowdownTime sim.Time // service time added by the fail-slow multiplier
 }
 
-// MeanServiceTime returns average (seek + latency + transfer) per request.
-func (s Stats) MeanServiceTime() sim.Time {
-	if s.Requests == 0 {
-		return 0
-	}
-	return s.BusyTime / sim.Time(s.Requests)
-}
-
 // MeanBlockTime returns the average busy time charged per block.
 func (s Stats) MeanBlockTime() sim.Time {
 	if s.Blocks == 0 {

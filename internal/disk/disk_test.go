@@ -329,17 +329,14 @@ func TestMeanServiceAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := d.Stats()
-	if st.MeanServiceTime() != 12 { // 0 + 4 + 8
-		t.Fatalf("mean service = %v", st.MeanServiceTime())
-	}
-	if st.MeanBlockTime() != 3 {
+	if st.MeanBlockTime() != 3 { // (0 + 4 + 8) / 4 blocks
 		t.Fatalf("mean block time = %v", st.MeanBlockTime())
 	}
 	if st.MeanSeekDistance() != 0 {
 		t.Fatalf("mean seek = %v", st.MeanSeekDistance())
 	}
 	var zero Stats
-	if zero.MeanServiceTime() != 0 || zero.MeanBlockTime() != 0 || zero.MeanSeekDistance() != 0 {
+	if zero.MeanBlockTime() != 0 || zero.MeanSeekDistance() != 0 {
 		t.Fatal("zero stats accessors should be 0")
 	}
 }

@@ -10,48 +10,6 @@ func (r *Stream) UniformRange(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// ExpFloat64 returns an exponentially distributed float64 with mean 1,
-// by inversion. Inversion (rather than ziggurat) keeps the draw count per
-// sample fixed at one, which keeps streams easy to reason about.
-func (r *Stream) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
-// Exponential returns an exponentially distributed value with the given
-// mean. It panics if mean <= 0.
-func (r *Stream) Exponential(mean float64) float64 {
-	if mean <= 0 {
-		panic("rng: Exponential with mean <= 0")
-	}
-	return mean * r.ExpFloat64()
-}
-
-// NormFloat64 returns a standard normal value using the Marsaglia polar
-// method (two uniform draws per accepted pair; one value is cached).
-func (r *Stream) NormFloat64() float64 {
-	if r.haveGauss {
-		r.haveGauss = false
-		return r.gauss
-	}
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		f := math.Sqrt(-2 * math.Log(s) / s)
-		r.gauss = v * f
-		r.haveGauss = true
-		return u * f
-	}
-}
-
 // Zipf draws from a Zipf distribution over {0, ..., n-1} with exponent
 // theta >= 0 (theta == 0 is uniform). It is used by the skewed depletion
 // workload extension. The implementation precomputes nothing; callers

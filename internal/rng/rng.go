@@ -21,10 +21,6 @@ import "math/bits"
 // safe for concurrent use; in the simulator each process owns its stream.
 type Stream struct {
 	s [4]uint64
-
-	// Cached second output of the Marsaglia polar method.
-	gauss     float64
-	haveGauss bool
 }
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
@@ -129,17 +125,6 @@ func (r *Stream) Uint64n(n uint64) uint64 {
 		}
 	}
 	return hi
-}
-
-// Perm returns a uniform random permutation of [0, n).
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }
 
 // Shuffle permutes the first n elements uniformly using swap.

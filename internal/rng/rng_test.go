@@ -124,28 +124,6 @@ func TestIntnPanics(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(15)
-	err := quick.Check(func(n uint8) bool {
-		m := int(n % 64)
-		p := r.Perm(m)
-		if len(p) != m {
-			return false
-		}
-		seen := make([]bool, m)
-		for _, v := range p {
-			if v < 0 || v >= m || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestShufflePreservesMultiset(t *testing.T) {
 	r := New(16)
 	xs := []int{1, 2, 2, 3, 5, 8, 13}
@@ -163,19 +141,6 @@ func TestShufflePreservesMultiset(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := New(17)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.Exponential(8.33)
-	}
-	mean := sum / n
-	if math.Abs(mean-8.33) > 0.1 {
-		t.Fatalf("Exponential(8.33) mean = %v", mean)
-	}
-}
-
 func TestUniformRange(t *testing.T) {
 	r := New(18)
 	for i := 0; i < 10000; i++ {
@@ -183,25 +148,6 @@ func TestUniformRange(t *testing.T) {
 		if v < 3 || v >= 7 {
 			t.Fatalf("UniformRange(3,7) = %v", v)
 		}
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(19)
-	const n = 200000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance = %v, want ~1", variance)
 	}
 }
 
@@ -277,8 +223,6 @@ func TestDistributionValidation(t *testing.T) {
 	r := New(30)
 	for _, fn := range []func(){
 		func() { r.UniformRange(7, 3) },
-		func() { r.Exponential(0) },
-		func() { r.Exponential(-1) },
 		func() { NewZipf(0, 1) },
 		func() { NewZipf(4, -0.5) },
 		func() { r.Uint64n(0) },

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -11,21 +10,11 @@ import (
 	"time"
 )
 
-// requestIDKey keys the request ID in a request context.
-type requestIDKey struct{}
-
 // RequestIDHeader is the header carrying the request ID: echoed from
 // the client when present (so IDs propagate through proxies), assigned
 // by the daemon otherwise, and always set on the response so client and
 // server logs can be correlated.
 const RequestIDHeader = "X-Request-ID"
-
-// RequestIDFromContext returns the request ID propagated by the HTTP
-// layer, or "" outside a request.
-func RequestIDFromContext(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
-}
 
 // idSource mints process-unique request IDs: a random boot nonce (so
 // IDs from different daemon instances never collide in aggregated logs)
@@ -72,8 +61,8 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // withRequestID assigns (or propagates) the request ID, exposes it on
-// the response and through the request context, and — when a Logger is
-// configured — emits one structured log line per request.
+// the response and — when a Logger is configured — emits one
+// structured log line per request carrying it.
 func (s *Service) withRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(RequestIDHeader)
@@ -81,7 +70,6 @@ func (s *Service) withRequestID(next http.Handler) http.Handler {
 			id = s.ids.next()
 		}
 		w.Header().Set(RequestIDHeader, id)
-		r = r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id))
 		if s.opts.Logger == nil {
 			next.ServeHTTP(w, r)
 			return

@@ -172,9 +172,6 @@ func (h *Histogram) Mean() float64 {
 // Bin returns the count in bin i.
 func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
 
-// NumBins returns the number of bins.
-func (h *Histogram) NumBins() int { return len(h.bins) }
-
 // OutOfRange returns the underflow and overflow counts.
 func (h *Histogram) OutOfRange() (under, over int64) { return h.under, h.over }
 

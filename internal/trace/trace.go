@@ -20,7 +20,11 @@
 // Perfetto or chrome://tracing), WriteCSV a flat time-series.
 package trace
 
-import "repro/internal/sim"
+import (
+	"strconv"
+
+	"repro/internal/sim"
+)
 
 // DefaultMaxEvents bounds a Recorder when the caller passes no cap: a
 // full trace of the paper's headline configuration (25 runs × 1000
@@ -288,7 +292,7 @@ func (r *Recorder) TrackName(id int) string {
 	if r != nil && id >= 0 && id < len(r.tracks) && r.tracks[id] != "" {
 		return r.tracks[id]
 	}
-	return "track " + itoa(id)
+	return "track " + strconv.Itoa(id)
 }
 
 // Tracks returns the highest registered track id + 1.
@@ -346,16 +350,4 @@ func (r *Recorder) Marks() []Mark {
 		return nil
 	}
 	return r.marks
-}
-
-// itoa avoids importing strconv into the hot path's dependency surface
-// for one placeholder formatter.
-func itoa(n int) string {
-	if n < 0 {
-		return "-" + itoa(-n)
-	}
-	if n < 10 {
-		return string(rune('0' + n))
-	}
-	return itoa(n/10) + string(rune('0'+n%10))
 }
