@@ -173,7 +173,16 @@ func (t *trackSpans) seal(spans []trace.DiskSpan) {
 //     races where the waking deposit was recorded just before the
 //     stall span closed. Latest done wins, then first recorded.
 //
-// Returns -1 when nothing matches (a truncated trace).
+// Returns -1 when nothing matches.
+//
+// On an untruncated engine trace step 1 or 2 always matches. The engine
+// (core's arrivalCheck) ends a stall at the instant a block of its run
+// is deposited, and every block arrives through a fetch recorded at its
+// last block, so that fetch is in flight at the stall's end (step 1).
+// A synchronized batch ends its stall at the batch's last completion,
+// a fetch completing exactly then (step 2). Step 3 and the no-match
+// case serve traces that lack the waking fetch: one cut short by its
+// event cap, or a hand-edited CSV given to traceq -trace.
 func (x *index) blockingFetch(s trace.CPUSpan) int {
 	f := x.fetches
 	var lo, hi int32

@@ -173,18 +173,26 @@ func runTraced(t *testing.T, cfg core.Config) (*trace.Recorder, sim.Time) {
 
 // TestIndexMatchesLinearJoins holds the indexed joins to the linear
 // cascade on the engine matrix, the stall-attribution sweep, a
-// fail-slow run with read errors and hand-built traces aimed at each
-// cascade step and its tie-breaks, and requires every step (and the
-// no-match case) to fire somewhere.
+// fail-slow run with read errors, a run cut short by its event cap and
+// hand-built traces aimed at each cascade step and its tie-breaks, and
+// requires every step (and the no-match case) to fire somewhere. An
+// untruncated engine trace must explain every stall by step 1 or 2, as
+// blockingFetch argues; the truncated run must leave a stall unmatched.
 func TestIndexMatchesLinearJoins(t *testing.T) {
 	var mu sync.Mutex
 	var hits stepHits
-	check := func(t *testing.T, rec *trace.Recorder, makespan sim.Time) {
+	check := func(t *testing.T, rec *trace.Recorder, makespan sim.Time) stepHits {
 		h := requireSameJoins(t, rec, makespan)
 		mu.Lock()
 		defer mu.Unlock()
 		for step, n := range h {
 			hits[step] += n
+		}
+		return h
+	}
+	checkEngine := func(t *testing.T, rec *trace.Recorder, makespan sim.Time) {
+		if h := check(t, rec, makespan); h[3] > 0 || h[0] > 0 {
+			t.Errorf("engine stalls reached step 3 %d times and matched nothing %d times (hits %v)", h[3], h[0], h)
 		}
 	}
 	// The points run in parallel: the linear reference is quadratic,
@@ -194,7 +202,7 @@ func TestIndexMatchesLinearJoins(t *testing.T) {
 			t.Run("matrix/"+c.Name, func(t *testing.T) {
 				t.Parallel()
 				rec, makespan := runTraced(t, c.Config)
-				check(t, rec, makespan)
+				checkEngine(t, rec, makespan)
 			})
 		}
 		// The ext-stall-attribution family's quick grid, synchronized
@@ -212,7 +220,7 @@ func TestIndexMatchesLinearJoins(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
 						rec, makespan := runTraced(t, cfg)
-						check(t, rec, makespan)
+						checkEngine(t, rec, makespan)
 					})
 				}
 			}
@@ -239,7 +247,29 @@ func TestIndexMatchesLinearJoins(t *testing.T) {
 			if retries == 0 {
 				t.Fatal("the faulted run recorded no retry phase")
 			}
-			check(t, rec, makespan)
+			checkEngine(t, rec, makespan)
+		})
+		// Capped at 2,000 events, unsynchronized intra-run prefetching
+		// records stalls whose 10-block fetches complete, and would be
+		// recorded, only after the cap.
+		t.Run("truncated", func(t *testing.T) {
+			t.Parallel()
+			cfg := core.Default()
+			cfg.N = 10
+			cfg.CacheBlocks = cfg.DefaultCache()
+			cfg.MergeTimePerBlock = sim.Ms(0.3)
+			rec := trace.New(2000)
+			cfg.Trace = rec
+			res, err := core.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rec.Truncated() {
+				t.Fatal("the capped run did not truncate its trace")
+			}
+			if h := check(t, rec, res.TotalTime); h[0] == 0 {
+				t.Errorf("every stall of the truncated trace matched a fetch (hits %v)", h)
+			}
 		})
 		for _, c := range handBuilt() {
 			t.Run("hand/"+c.name, func(t *testing.T) {
