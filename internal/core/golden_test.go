@@ -41,32 +41,48 @@ func TestGoldenMatrix(t *testing.T) {
 
 // TestGoldenTrace pins the Chrome and CSV exports of one traced,
 // fault-injected, writing merge: every span and lifecycle mark at its
-// instant.
+// instant. The "explain" entries pin a paper-scale trace (k=25, D=5,
+// N=10, inter-run, cache 300, merge 0.3 ms; about 101k events), large
+// enough that every event kind spans many of the recorder's storage
+// chunks; the small merge fills less than one chunk of any kind.
 func TestGoldenTrace(t *testing.T) {
-	cfg := core.Default()
-	cfg.K, cfg.D, cfg.BlocksPerRun = 6, 3, 50
-	cfg.N = 3
-	cfg.InterRun = true
-	cfg.MergeTimePerBlock = sim.Ms(0.3)
-	cfg.Write = core.WriteConfig{Enabled: true, Disks: 1, BatchBlocks: 3, BufferBlocks: 9}
-	cfg.Faults = &faults.Spec{Disks: []faults.DiskSpec{
+	small := core.Default()
+	small.K, small.D, small.BlocksPerRun = 6, 3, 50
+	small.N = 3
+	small.InterRun = true
+	small.MergeTimePerBlock = sim.Ms(0.3)
+	small.Write = core.WriteConfig{Enabled: true, Disks: 1, BatchBlocks: 3, BufferBlocks: 9}
+	small.Faults = &faults.Spec{Disks: []faults.DiskSpec{
 		{Disk: 1, Slowdown: 2, SlowdownAtMs: 100, Outages: []faults.Window{{StartMs: 50, EndMs: 250}}},
 	}}
-	cfg.CacheBlocks = cfg.DefaultCache()
-	cfg.Trace = trace.New(0)
-	if _, err := core.Run(cfg); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	var chrome, csv bytes.Buffer
-	if err := cfg.Trace.WriteChrome(&chrome); err != nil {
-		t.Fatalf("WriteChrome: %v", err)
-	}
-	if err := cfg.Trace.WriteCSV(&csv); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
+	small.CacheBlocks = small.DefaultCache()
+
+	paper := core.Default()
+	paper.N = 10
+	paper.InterRun = true
+	paper.CacheBlocks = 300
+	paper.MergeTimePerBlock = sim.Ms(0.3)
+
 	g := coretest.LoadGolden(t, "testdata/trace.golden")
-	g.Check(t, "chrome", coretest.Digest(chrome.Bytes()))
-	g.Check(t, "csv", coretest.Digest(csv.Bytes()))
+	for _, c := range []struct {
+		prefix string
+		cfg    core.Config
+	}{{"", small}, {"explain-", paper}} {
+		cfg := c.cfg
+		cfg.Trace = trace.New(0)
+		if _, err := core.Run(cfg); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		var chrome, csv bytes.Buffer
+		if err := cfg.Trace.WriteChrome(&chrome); err != nil {
+			t.Fatalf("WriteChrome: %v", err)
+		}
+		if err := cfg.Trace.WriteCSV(&csv); err != nil {
+			t.Fatalf("WriteCSV: %v", err)
+		}
+		g.Check(t, c.prefix+"chrome", coretest.Digest(chrome.Bytes()))
+		g.Check(t, c.prefix+"csv", coretest.Digest(csv.Bytes()))
+	}
 	g.Done(t)
 }
 
