@@ -142,6 +142,11 @@ func staticCallee(pass *lint.Pass, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
+	if fn != nil {
+		// A call into a generic function or a method of a generic type
+		// uses an instantiation; its body is the generic declaration's.
+		fn = fn.Origin()
+	}
 	return fn
 }
 
@@ -216,7 +221,9 @@ func checkHotCall(pass *lint.Pass, call *ast.CallExpr, report func(ast.Node, str
 		return
 	}
 	// Concrete non-pointer values passed to interface parameters box.
-	sig, ok := fn.Type().(*types.Signature)
+	// The call's own signature has a generic callee's type arguments
+	// in place of its type parameters, which are not interfaces.
+	sig, ok := pass.TypesInfo.TypeOf(call.Fun).(*types.Signature)
 	if !ok {
 		return
 	}

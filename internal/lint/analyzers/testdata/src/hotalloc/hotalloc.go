@@ -12,6 +12,16 @@ type request struct {
 type state struct {
 	pending []request
 	handler func(request)
+	log     log[request]
+}
+
+// log is a generic type: the walk enters its methods' generic bodies.
+type log[T any] struct {
+	entries []T
+}
+
+func (l *log[T]) add(v T) {
+	l.entries = append(l.entries, v) // want `append \(may grow its backing array\) in add`
 }
 
 // dispatch stands in for the calendar pop loop: the root the analyzer
@@ -21,6 +31,7 @@ type state struct {
 func dispatch(s *state, r request) {
 	stage(s, r)
 	trace(r)
+	s.log.add(r) // a concrete argument for a type parameter: no boxing
 	if s.handler != nil {
 		s.handler(r) // dynamic call: the walk stops here
 	}
