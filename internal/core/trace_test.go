@@ -49,11 +49,11 @@ func runTraced(t *testing.T, workers int) (Aggregate, []byte) {
 	if cfg.Trace.Len() == 0 {
 		t.Fatal("traced run recorded no events")
 	}
-	if len(cfg.Trace.DiskSpans()) == 0 || len(cfg.Trace.CPUSpans()) == 0 ||
-		len(cfg.Trace.PrefetchSpans()) == 0 || len(cfg.Trace.CacheSamples()) == 0 {
+	if cfg.Trace.DiskSpans().Len() == 0 || cfg.Trace.CPUSpans().Len() == 0 ||
+		cfg.Trace.PrefetchSpans().Len() == 0 || cfg.Trace.CacheSamples().Len() == 0 {
 		t.Fatalf("span categories missing: disk=%d cpu=%d prefetch=%d cache=%d",
-			len(cfg.Trace.DiskSpans()), len(cfg.Trace.CPUSpans()),
-			len(cfg.Trace.PrefetchSpans()), len(cfg.Trace.CacheSamples()))
+			cfg.Trace.DiskSpans().Len(), cfg.Trace.CPUSpans().Len(),
+			cfg.Trace.PrefetchSpans().Len(), cfg.Trace.CacheSamples().Len())
 	}
 	return aggs[0], buf.Bytes()
 }
@@ -118,8 +118,8 @@ func TestTraceOutageSpan(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range cfg.Trace.DiskSpans() {
-		if s.Phase == trace.PhaseOutage {
+	for spans, i := cfg.Trace.DiskSpans(), 0; i < spans.Len(); i++ {
+		if s := spans.At(i); s.Phase == trace.PhaseOutage {
 			if got := cfg.Trace.TrackName(s.Track); got != "disk 0" {
 				t.Fatalf("outage span on track %q, want disk 0", got)
 			}
@@ -141,8 +141,8 @@ func TestTracerSeesMergeLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	at := map[string][]sim.Time{}
-	for _, m := range cfg.Trace.Marks() {
-		if m.Track == trace.CPUTrack {
+	for marks, i := cfg.Trace.Marks(), 0; i < marks.Len(); i++ {
+		if m := marks.At(i); m.Track == trace.CPUTrack {
 			at[m.Name] = append(at[m.Name], m.At)
 		}
 	}

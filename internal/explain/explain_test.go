@@ -117,7 +117,8 @@ func TestDiskSpansTileBusyTime(t *testing.T) {
 		t.Run(c.Name, func(t *testing.T) {
 			res, rec := runTraced(t, c.Config, 1)
 			byTrack := map[int][]trace.DiskSpan{}
-			for _, s := range rec.DiskSpans() {
+			for spans, i := rec.DiskSpans(), 0; i < spans.Len(); i++ {
+				s := spans.At(i)
 				byTrack[s.Track] = append(byTrack[s.Track], s)
 			}
 			busyOf := map[int]sim.Time{}

@@ -19,25 +19,25 @@ import (
 // span per stall, the reference the index must reproduce. It returns
 // the winning span's record position (-1 for none) and the cascade
 // step that named it (0 for none).
-func linearBlockingFetch(prefetches []trace.PrefetchSpan, s trace.CPUSpan) (int, int) {
+func linearBlockingFetch(prefetches trace.Events[trace.PrefetchSpan], s trace.CPUSpan) (int, int) {
 	best := -1
-	for i := range prefetches {
-		p := &prefetches[i]
+	for i := 0; i < prefetches.Len(); i++ {
+		p := prefetches.At(i)
 		if p.Run != s.Run || p.Issued > s.End || p.Done < s.End {
 			continue
 		}
-		if best < 0 || p.Issued < prefetches[best].Issued {
+		if best < 0 || p.Issued < prefetches.At(best).Issued {
 			best = i
 		}
 	}
 	if best >= 0 {
 		return best, 1
 	}
-	for i := range prefetches {
-		p := &prefetches[i]
+	for i := 0; i < prefetches.Len(); i++ {
+		p := prefetches.At(i)
 		//detlint:allow floatcmp the reference join compares recorded kernel timestamps bit for bit, as the engine's synchronized wake-up does
 		if p.Done == s.End {
-			if best < 0 || p.Issued < prefetches[best].Issued {
+			if best < 0 || p.Issued < prefetches.At(best).Issued {
 				best = i
 			}
 		}
@@ -45,12 +45,12 @@ func linearBlockingFetch(prefetches []trace.PrefetchSpan, s trace.CPUSpan) (int,
 	if best >= 0 {
 		return best, 2
 	}
-	for i := range prefetches {
-		p := &prefetches[i]
+	for i := 0; i < prefetches.Len(); i++ {
+		p := prefetches.At(i)
 		if p.Run != s.Run || p.Done <= s.Start || p.Issued >= s.End {
 			continue
 		}
-		if best < 0 || p.Done > prefetches[best].Done {
+		if best < 0 || p.Done > prefetches.At(best).Done {
 			best = i
 		}
 	}
@@ -97,13 +97,15 @@ func requireSameJoins(t *testing.T, rec *trace.Recorder, makespan sim.Time) step
 	x := newIndex(rec, makespan)
 	prefetches := rec.PrefetchSpans()
 	clamped := map[int][]trace.DiskSpan{}
-	for _, s := range rec.DiskSpans() {
+	for spans, i := rec.DiskSpans(), 0; i < spans.Len(); i++ {
+		s := spans.At(i)
 		if start, end, ok := clamp(s.Start, s.End, makespan); ok {
 			clamped[s.Track] = append(clamped[s.Track], trace.DiskSpan{Track: s.Track, Phase: s.Phase, Start: start, End: end})
 		}
 	}
 	var want []Chain
-	for _, cs := range rec.CPUSpans() {
+	for spans, i := rec.CPUSpans(), 0; i < spans.Len(); i++ {
+		cs := spans.At(i)
 		start, end, ok := clamp(cs.Start, cs.End, makespan)
 		if !ok || cs.Kind == trace.CPUCompute || cs.Run < 0 {
 			continue
@@ -116,7 +118,7 @@ func requireSameJoins(t *testing.T, rec *trace.Recorder, makespan sim.Time) step
 		}
 		c := Chain{Run: s.Run, Start: s.Start, End: s.End, Duration: s.End - s.Start, Issued: s.Start}
 		if pos >= 0 {
-			p := prefetches[pos]
+			p := prefetches.At(pos)
 			wantB, wantQ := linearDecompose(s.Start, s.End, clamped[p.Track])
 			gotB, gotQ := x.decompose(p.Track, s.Start, s.End)
 			if !sameBreakdown(gotB, wantB) || !sameBits(gotQ, wantQ) {
@@ -239,8 +241,8 @@ func TestIndexMatchesLinearJoins(t *testing.T) {
 			cfg.Seed = 3
 			rec, makespan := runTraced(t, cfg)
 			retries := 0
-			for _, s := range rec.DiskSpans() {
-				if s.Phase == trace.PhaseRetry {
+			for spans, i := rec.DiskSpans(), 0; i < spans.Len(); i++ {
+				if spans.At(i).Phase == trace.PhaseRetry {
 					retries++
 				}
 			}
@@ -298,8 +300,8 @@ func TestIndexMatchesLinearJoins(t *testing.T) {
 
 func stallsOf(rec *trace.Recorder) []trace.CPUSpan {
 	var out []trace.CPUSpan
-	for _, s := range rec.CPUSpans() {
-		if s.Kind == trace.CPUStall && s.Run >= 0 {
+	for spans, i := rec.CPUSpans(), 0; i < spans.Len(); i++ {
+		if s := spans.At(i); s.Kind == trace.CPUStall && s.Run >= 0 {
 			out = append(out, s)
 		}
 	}

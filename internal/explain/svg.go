@@ -51,10 +51,11 @@ func WriteTimelineSVG(w io.Writer, r *trace.Recorder, rep *Report) error {
 	}
 	tracks := []int{trace.CPUTrack}
 	seen := map[int]bool{trace.CPUTrack: true}
-	for _, s := range r.DiskSpans() {
-		if !seen[s.Track] {
-			seen[s.Track] = true
-			tracks = append(tracks, s.Track)
+	spans := r.DiskSpans()
+	for i := 0; i < spans.Len(); i++ {
+		if t := spans.At(i).Track; !seen[t] {
+			seen[t] = true
+			tracks = append(tracks, t)
 		}
 	}
 	sort.Ints(tracks)
@@ -84,7 +85,8 @@ func WriteTimelineSVG(w io.Writer, r *trace.Recorder, rep *Report) error {
 			svgLabelW, y, plotW, svgRowH)
 	}
 
-	for _, s := range r.DiskSpans() {
+	for i := 0; i < spans.Len(); i++ {
+		s := spans.At(i)
 		start, end, ok := clamp(s.Start, s.End, makespan)
 		if !ok {
 			continue
@@ -94,7 +96,8 @@ func WriteTimelineSVG(w io.Writer, r *trace.Recorder, rep *Report) error {
 			x(start), y, segWidth(x(start), x(end)), svgRowH,
 			phaseColor(s.Phase), r.TrackName(s.Track), s.Phase, float64(start), float64(end))
 	}
-	for _, s := range r.CPUSpans() {
+	for cpu, i := r.CPUSpans(), 0; i < cpu.Len(); i++ {
+		s := cpu.At(i)
 		start, end, ok := clamp(s.Start, s.End, makespan)
 		if !ok {
 			continue

@@ -41,14 +41,16 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 
 	enc := newEventEmitter(cw)
 	emitChromeMetadata(enc, r)
-	for _, s := range r.DiskSpans() {
+	for spans, i := r.DiskSpans(), 0; i < spans.Len(); i++ {
+		s := spans.At(i)
 		enc.emit(chromeEvent{
 			Name: s.Phase.String(), Cat: "disk", Ph: "X",
 			Ts: float64(s.Start) * usPerMs, Dur: float64(s.End-s.Start) * usPerMs,
 			Tid: s.Track,
 		})
 	}
-	for _, s := range r.CPUSpans() {
+	for spans, i := r.CPUSpans(), 0; i < spans.Len(); i++ {
+		s := spans.At(i)
 		ev := chromeEvent{
 			Name: s.Kind.String(), Cat: "cpu", Ph: "X",
 			Ts: float64(s.Start) * usPerMs, Dur: float64(s.End-s.Start) * usPerMs,
@@ -59,7 +61,8 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 		}
 		enc.emit(ev)
 	}
-	for i, s := range r.PrefetchSpans() {
+	for spans, i := r.PrefetchSpans(), 0; i < spans.Len(); i++ {
+		s := spans.At(i)
 		enc.emit(chromeEvent{
 			Name: "prefetch", Cat: "prefetch", Ph: "b",
 			Ts: float64(s.Issued) * usPerMs, Tid: s.Track, ID: i + 1,
@@ -70,21 +73,24 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 			Ts: float64(s.Done) * usPerMs, Tid: s.Track, ID: i + 1,
 		})
 	}
-	for _, s := range r.CacheSamples() {
+	for samples, i := r.CacheSamples(), 0; i < samples.Len(); i++ {
+		s := samples.At(i)
 		enc.emit(chromeEvent{
 			Name: "cache occupancy", Ph: "C",
 			Ts: float64(s.At) * usPerMs, Tid: CPUTrack,
 			Args: map[string]any{"blocks": s.Occupied},
 		})
 	}
-	for _, s := range r.QueueSamples() {
+	for samples, i := r.QueueSamples(), 0; i < samples.Len(); i++ {
+		s := samples.At(i)
 		enc.emit(chromeEvent{
 			Name: "queue depth", Ph: "C",
 			Ts: float64(s.At) * usPerMs, Tid: s.Track,
 			Args: map[string]any{"requests": s.Depth},
 		})
 	}
-	for _, m := range r.Marks() {
+	for marks, i := r.Marks(), 0; i < marks.Len(); i++ {
+		m := marks.At(i)
 		enc.emit(chromeEvent{
 			Name: m.Name, Cat: "mark", Ph: "i", Scope: "t",
 			Ts: float64(m.At) * usPerMs, Tid: m.Track,

@@ -33,11 +33,13 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 	}
 	ms := func(t sim.Time) string { return strconv.FormatFloat(float64(t), 'g', -1, 64) }
 	var rows []row
-	for _, s := range r.DiskSpans() {
+	for spans, i := r.DiskSpans(), 0; i < spans.Len(); i++ {
+		s := spans.At(i)
 		rows = append(rows, row{s.Start, []string{
 			"disk", r.TrackName(s.Track), s.Phase.String(), ms(s.Start), ms(s.End), ""}})
 	}
-	for _, s := range r.CPUSpans() {
+	for spans, i := r.CPUSpans(), 0; i < spans.Len(); i++ {
+		s := spans.At(i)
 		val := ""
 		if s.Kind == CPUStall && s.Run >= 0 {
 			val = strconv.Itoa(s.Run)
@@ -45,20 +47,24 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 		rows = append(rows, row{s.Start, []string{
 			"cpu", r.TrackName(CPUTrack), s.Kind.String(), ms(s.Start), ms(s.End), val}})
 	}
-	for _, s := range r.PrefetchSpans() {
+	for spans, i := r.PrefetchSpans(), 0; i < spans.Len(); i++ {
+		s := spans.At(i)
 		rows = append(rows, row{s.Issued, []string{
 			"prefetch", r.TrackName(s.Track), "run " + strconv.Itoa(s.Run),
 			ms(s.Issued), ms(s.Done), strconv.Itoa(s.Blocks)}})
 	}
-	for _, s := range r.CacheSamples() {
+	for samples, i := r.CacheSamples(), 0; i < samples.Len(); i++ {
+		s := samples.At(i)
 		rows = append(rows, row{s.At, []string{
 			"cache", "cache", "occupancy", ms(s.At), ms(s.At), strconv.Itoa(s.Occupied)}})
 	}
-	for _, s := range r.QueueSamples() {
+	for samples, i := r.QueueSamples(), 0; i < samples.Len(); i++ {
+		s := samples.At(i)
 		rows = append(rows, row{s.At, []string{
 			"queue", r.TrackName(s.Track), "depth", ms(s.At), ms(s.At), strconv.Itoa(s.Depth)}})
 	}
-	for _, m := range r.Marks() {
+	for marks, i := r.Marks(), 0; i < marks.Len(); i++ {
+		m := marks.At(i)
 		rows = append(rows, row{m.At, []string{
 			"mark", r.TrackName(m.Track), m.Name, ms(m.At), ms(m.At), ""}})
 	}

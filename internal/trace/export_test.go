@@ -87,8 +87,8 @@ func TestWriteCSVTruncatedSentinel(t *testing.T) {
 	if !back.Truncated() {
 		t.Fatal("ReadCSV lost the truncated flag")
 	}
-	if len(back.CPUSpans()) != 2 {
-		t.Fatalf("roundtrip span count = %d, want 2", len(back.CPUSpans()))
+	if back.CPUSpans().Len() != 2 {
+		t.Fatalf("roundtrip span count = %d, want 2", back.CPUSpans().Len())
 	}
 }
 
@@ -111,19 +111,19 @@ func TestReadCSVRoundtrip(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Fatalf("CSV not a fixed point of write→read→write:\nfirst:\n%s\nsecond:\n%s", buf.String(), buf2.String())
 	}
-	if len(back.DiskSpans()) != len(orig.DiskSpans()) ||
-		len(back.CPUSpans()) != len(orig.CPUSpans()) ||
-		len(back.PrefetchSpans()) != len(orig.PrefetchSpans()) ||
-		len(back.CacheSamples()) != len(orig.CacheSamples()) ||
-		len(back.QueueSamples()) != len(orig.QueueSamples()) ||
-		len(back.Marks()) != len(orig.Marks()) {
+	if back.DiskSpans().Len() != orig.DiskSpans().Len() ||
+		back.CPUSpans().Len() != orig.CPUSpans().Len() ||
+		back.PrefetchSpans().Len() != orig.PrefetchSpans().Len() ||
+		back.CacheSamples().Len() != orig.CacheSamples().Len() ||
+		back.QueueSamples().Len() != orig.QueueSamples().Len() ||
+		back.Marks().Len() != orig.Marks().Len() {
 		t.Fatal("roundtrip changed span counts")
 	}
 	// The stall's run identity must survive (the explain layer keys
 	// attribution on it).
 	found := false
-	for _, s := range back.CPUSpans() {
-		if s.Kind == CPUStall && s.Run == 3 {
+	for spans, i := back.CPUSpans(), 0; i < spans.Len(); i++ {
+		if s := spans.At(i); s.Kind == CPUStall && s.Run == 3 {
 			found = true
 		}
 	}
@@ -189,9 +189,9 @@ func TestWriteChromeSchema(t *testing.T) {
 			ends++
 		}
 	}
-	if begins != len(r.PrefetchSpans()) || begins != ends {
+	if begins != r.PrefetchSpans().Len() || begins != ends {
 		t.Fatalf("async pairing broken: %d begins, %d ends, %d prefetches",
-			begins, ends, len(r.PrefetchSpans()))
+			begins, ends, r.PrefetchSpans().Len())
 	}
 	for id := 0; id < r.Tracks(); id++ {
 		if !named[id] {
