@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -195,6 +197,30 @@ func extAdaptiveN(o Options) (Output, error) {
 	return g.output(Output{Figures: []*table.Figure{f, depth}})
 }
 
+// randomRecords is an extsort.RecordReader of left records, each filled
+// with little-endian words drawn from r in order; a record's last
+// partial word takes the draw's low bytes. It streams its input, so a
+// sort's memory holds its runs and never the whole input as well.
+type randomRecords struct {
+	r    *rng.Stream
+	left int
+	rec  []byte
+}
+
+// Next implements extsort.RecordReader.
+func (s *randomRecords) Next() ([]byte, error) {
+	if s.left == 0 {
+		return nil, io.EOF
+	}
+	s.left--
+	var word [8]byte
+	for i := 0; i < len(s.rec); i += 8 {
+		binary.LittleEndian.PutUint64(word[:], s.r.Uint64())
+		copy(s.rec[i:], word[:])
+	}
+	return s.rec, nil
+}
+
 // extRealTrace sorts real records and replays the merge's actual
 // block-depletion trace through the simulator, comparing the strategy
 // ordering against the paper's random-depletion model, and random
@@ -208,18 +234,7 @@ func extRealTrace(o Options) (Output, error) {
 		sortCfg.MemoryBlocks = 100
 	}
 
-	r := rng.New(o.Seed)
-	data := make([]byte, records*sortCfg.RecordSize)
-	for i := 0; i+8 <= len(data); i += 8 {
-		b := r.Uint64()
-		for j := 0; j < 8; j++ {
-			data[i+j] = byte(b >> (8 * j))
-		}
-	}
-	in, err := extsort.NewSliceReader(data, sortCfg.RecordSize)
-	if err != nil {
-		return Output{}, err
-	}
+	in := &randomRecords{r: rng.New(o.Seed), left: records, rec: make([]byte, sortCfg.RecordSize)}
 	out := extsort.NewCountingWriter(sortCfg)
 	st, err := extsort.Sort(sortCfg, 0, in, func() extsort.RunStore { return extsort.NewMemStore() }, out)
 	if err != nil {
