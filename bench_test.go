@@ -177,26 +177,60 @@ func BenchmarkExplainReport(b *testing.B) {
 	}
 }
 
-// BenchmarkExplainBuild builds the attribution report at the point
-// simd's /v1/explain serves in the benchmark's serve-cold mix (k=25,
-// D=5, N=10, 1000-block runs, 300-block cache, 0.3 ms merge per block):
-// about 101k recorded events with combined inter+intra prefetching and
-// 71k with demand-run-only. Unlike BenchmarkExplainReport's 60-block
-// trace, it is large enough for a join that scans every span per stall
-// to dominate. ns/event divides one Build+Check by the trace's events.
+// explainPoint is the point simd's /v1/explain serves in the
+// benchmark's serve-cold mix: k=25, D=5, N=10, 1000-block runs, a
+// 300-block cache and 0.3 ms of merge per block, with combined
+// inter+intra prefetching or demand-run-only. Its traces hold about
+// 101k and 71k events.
+func explainPoint(inter bool) core.Config {
+	cfg := core.Default()
+	cfg.K, cfg.D, cfg.N, cfg.BlocksPerRun = 25, 5, 10, 1000
+	cfg.InterRun = inter
+	cfg.CacheBlocks = 300
+	cfg.MergeTimePerBlock = sim.Ms(0.3)
+	cfg.Seed = 1
+	return cfg
+}
+
+// explainPointName names explainPoint's variant in sub-benchmarks.
+func explainPointName(inter bool) string {
+	if inter {
+		return "inter"
+	}
+	return "intra"
+}
+
+// BenchmarkExplainRecord runs a traced merge at explainPoint with a
+// fresh recorder per iteration: the engine run plus trace recording,
+// whose allocations CI bounds. ns/event divides one traced run by the
+// trace's events.
+func BenchmarkExplainRecord(b *testing.B) {
+	for _, inter := range []bool{true, false} {
+		b.Run(explainPointName(inter), func(b *testing.B) {
+			cfg := explainPoint(inter)
+			events := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := trace.New(0)
+				cfg.Trace = rec
+				if _, err := core.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+				events = rec.Len()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(events), "ns/event")
+		})
+	}
+}
+
+// BenchmarkExplainBuild builds the attribution report at explainPoint.
+// Unlike BenchmarkExplainReport's 60-block trace, it is large enough
+// for a join that scans every span per stall to dominate. ns/event
+// divides one Build+Check by the trace's events.
 func BenchmarkExplainBuild(b *testing.B) {
 	for _, inter := range []bool{true, false} {
-		name := "intra"
-		if inter {
-			name = "inter"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := core.Default()
-			cfg.K, cfg.D, cfg.N, cfg.BlocksPerRun = 25, 5, 10, 1000
-			cfg.InterRun = inter
-			cfg.CacheBlocks = 300
-			cfg.MergeTimePerBlock = sim.Ms(0.3)
-			cfg.Seed = 1
+		b.Run(explainPointName(inter), func(b *testing.B) {
+			cfg := explainPoint(inter)
 			rec := trace.New(0)
 			cfg.Trace = rec
 			res, err := core.Run(cfg)
