@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 
@@ -49,6 +50,9 @@ func main() {
 	}
 	if *records < 0 {
 		fatal(fmt.Errorf("-records = %d (want 0 or more)", *records))
+	}
+	if *records > math.MaxInt/cfg.RecordSize {
+		fatal(fmt.Errorf("-records %d × -record-size %d bytes overflows the input's byte count", *records, cfg.RecordSize))
 	}
 
 	// Synthesize input, one random draw per 8 bytes; a last partial
