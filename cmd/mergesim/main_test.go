@@ -238,3 +238,41 @@ func TestZeroFlagIsPaperDefault(t *testing.T) {
 		})
 	}
 }
+
+// TestAnalyticLine pins the text output, by SHA-256, of points inside
+// the closed forms' regime (an infinitely fast CPU, a cache of at least
+// the natural size), and the analytic line of points outside it, which
+// names the failed assumption instead of printing a number.
+func TestAnalyticLine(t *testing.T) {
+	inside := []struct{ args, want string }{
+		{"", "6e33060e5008432541c92a1b9c481b8002c73f680f75be4049ddc780528f57ed"},
+		{"-d 1", "d35f66fd17b16eae609f70fb546d9db32f7c37e3d6b01bea099d622b6534d35a"},
+		{"-n 10 -sync", "68fdbfc0e479af43389b1f0ccc5e14fe2092af4e5de23d0207c2a70b36bc2f15"},
+		{"-n 30", "bf866362583a92515de27066ed77e0ed12886454ad9549bdcac9bff7e9c88387"},
+		{"-n 10 -inter", "b3b95e84ab45f7f86b829afe1458b2e0079726a328b01112211a7b847ad8f278"},
+		{"-n 10 -inter -sync", "e9cf2f256737cf5783b43521691bdcf13f73c27d0f62a2a4ca2a7637e24a5d5c"},
+	}
+	for _, c := range inside {
+		t.Run("inside "+c.args, func(t *testing.T) {
+			out := mergesim(t, strings.Fields(c.args)...)
+			sum := sha256.Sum256([]byte(out))
+			if got := hex.EncodeToString(sum[:]); got != c.want {
+				t.Fatalf("stdout digest = %s, want %s\n%s", got, c.want, out)
+			}
+		})
+	}
+	outside := []struct{ args, want string }{
+		{"-n 10 -sync -cache 30",
+			"analytic       eq(4) does not apply: it assumes a cache of at least 250 blocks, and this one holds 30"},
+		{"-n 10 -merge-ms 2",
+			"analytic       eq(4)/urn-game does not apply: it assumes no merge time, and merging takes 2 ms per block"},
+	}
+	for _, c := range outside {
+		t.Run("outside "+c.args, func(t *testing.T) {
+			out := mergesim(t, strings.Fields(c.args)...)
+			if !strings.Contains(out, "\n"+c.want+"\n") {
+				t.Fatalf("stdout lacks the line\n%s\n%s", c.want, out)
+			}
+		})
+	}
+}
