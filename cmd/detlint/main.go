@@ -1,11 +1,10 @@
 // detlint is the repo's determinism-and-invariant multichecker: a
 // static-analysis suite enforcing that simulation results stay a pure
 // function of core.Config (the property the paper's validation and the
-// simd result cache both rest on). It runs eight analyzers — the v1
-// syntax checks nondet, confighash, floatcmp, metricreg (DESIGN.md
-// §10) and the v2 dataflow checks simunits, ctxflow, lockdisc,
-// hotalloc (DESIGN.md §15) — over the deterministic packages and the
-// service layer.
+// simd result cache both rest on). It runs six analyzers — the
+// syntactic checks nondet and floatcmp (DESIGN.md §10) and the
+// dataflow checks simunits, ctxflow, lockdisc, hotalloc (DESIGN.md
+// §15) — over the deterministic packages and the service layer.
 //
 // Usage:
 //
@@ -73,9 +72,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if defaultScope {
-		// The linter does not lint itself: its sources are full of the
-		// very patterns (exposition fragments, finding messages) the
-		// analyzers hunt for.
+		// The linter does not lint itself: its sources necessarily
+		// mention the very patterns the analyzers hunt for.
 		kept := pkgs[:0]
 		for _, p := range pkgs {
 			if p.Path != "repro/internal/lint" && !strings.HasPrefix(p.Path, "repro/internal/lint/") {

@@ -2,13 +2,12 @@ package analyzers
 
 import "repro/internal/lint"
 
-// All returns every detlint analyzer: the four v1 syntax-local checks
-// (DESIGN.md §10) followed by the four v2 dataflow analyzers
+// All returns every detlint analyzer: the two syntactic checks
+// (DESIGN.md §10) followed by the four dataflow analyzers
 // (DESIGN.md §15). Each analyzer self-gates on package content
-// (confighash needs a Config/CanonicalJSON pair, metricreg a
-// Prometheus exposition, simunits //detlint:unit tags, hotalloc
-// //detlint:hotpath roots, ctxflow/lockdisc the concurrent packages),
-// so running the full suite over a package is always safe.
+// (simunits needs //detlint:unit tags, hotalloc //detlint:hotpath
+// roots, ctxflow/lockdisc the concurrent packages), so running the
+// full suite over a package is always safe.
 func All() []*lint.Analyzer {
-	return []*lint.Analyzer{Nondet, ConfigHash, FloatCmp, MetricReg, SimUnits, CtxFlow, LockDisc, HotAlloc}
+	return []*lint.Analyzer{Nondet, FloatCmp, SimUnits, CtxFlow, LockDisc, HotAlloc}
 }

@@ -20,24 +20,6 @@ func TestFloatCmp(t *testing.T) {
 	linttest.Run(t, fixture("floatcmp"), analyzers.FloatCmp)
 }
 
-// TestConfigHashOK pins the zero-finding contract on a fixture shaped
-// like core.Config's real encoder (guarded callback, traversed nested
-// spec, wholesale slice copy).
-func TestConfigHashOK(t *testing.T) {
-	linttest.Run(t, fixture("confighash_ok"), analyzers.ConfigHash)
-}
-
-// TestConfigHashBad is the intentional-violation fixture: a Config
-// field missing from the encoder (the cache-poisoning hazard), a nested
-// spec field missing from it, and a mirror field never assigned.
-func TestConfigHashBad(t *testing.T) {
-	linttest.Run(t, fixture("confighash_bad"), analyzers.ConfigHash)
-}
-
-func TestMetricReg(t *testing.T) {
-	linttest.Run(t, fixture("metricreg"), analyzers.MetricReg)
-}
-
 // TestSimUnits covers the dimensional dataflow: the seeded
 // seconds/blocks conversion, arithmetic and comparisons across units,
 // tagged-field stores, return-unit facts, and join behavior.
@@ -63,10 +45,10 @@ func TestHotAlloc(t *testing.T) {
 	linttest.Run(t, fixture("hotalloc"), analyzers.HotAlloc)
 }
 
-// TestSuiteSelfGates runs the full suite over every fixture: analyzers
-// must not fire outside their domain (confighash on a package without
-// a Config, metricreg on a package without an exposition, ...), so the
+// TestSuiteSelfGates runs the full suite over the floatcmp fixture:
+// every other analyzer must stay silent outside its domain (simunits
+// without unit tags, hotalloc without a hotpath root, ...), so the
 // multichecker can safely run everything everywhere.
 func TestSuiteSelfGates(t *testing.T) {
-	linttest.Run(t, fixture("confighash_ok"), analyzers.All()...)
+	linttest.Run(t, fixture("floatcmp"), analyzers.All()...)
 }

@@ -3,12 +3,10 @@
 // standard library's go/ast and go/types (the container that grows this
 // repo has no module proxy, so x/tools itself is unavailable).
 //
-// It exists to machine-check the repo's determinism and cache-key
-// invariants: the paper validation depends on exactly repeatable
-// simulation runs, and the simd result cache depends on
-// core.Config.CanonicalJSON covering every config field. The concrete
-// analyzers live in internal/lint/analyzers; cmd/detlint is the
-// multichecker front-end wired into `make lint` and CI.
+// It exists to machine-check the repo's determinism invariants: the
+// paper validation depends on exactly repeatable simulation runs. The
+// concrete analyzers live in internal/lint/analyzers; cmd/detlint is
+// the multichecker front-end wired into `make lint` and CI.
 //
 // Since detlint v2 the framework also carries a lightweight dataflow
 // layer: an intra-procedural CFG builder (cfg.go) and a cross-package
@@ -84,15 +82,6 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-
-	// Dir is the package directory; TestGoFiles lists the package's
-	// test sources (absolute paths, unparsed — analyzers that need
-	// them, like metricreg's referenced-by-a-test check, read them as
-	// text). ModRoot is the module root, for repo-level artifacts such
-	// as docs.
-	Dir         string
-	TestGoFiles []string
-	ModRoot     string
 
 	// Report records one finding. The runner applies //detlint:allow
 	// suppression afterwards, so analyzers always report unconditionally.
@@ -346,16 +335,13 @@ func RunPackagesTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []T
 		for _, pkg := range order {
 			var raw []Diagnostic
 			pass := &Pass{
-				Analyzer:    a,
-				Fset:        pkg.Fset,
-				Files:       pkg.Files,
-				Pkg:         pkg.Types,
-				TypesInfo:   pkg.Info,
-				Dir:         pkg.Dir,
-				TestGoFiles: pkg.TestGoFiles,
-				ModRoot:     pkg.ModRoot,
-				Report:      func(d Diagnostic) { raw = append(raw, d) },
-				facts:       facts,
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				Pkg:       pkg.Types,
+				TypesInfo: pkg.Info,
+				Report:    func(d Diagnostic) { raw = append(raw, d) },
+				facts:     facts,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)

@@ -200,7 +200,7 @@ func TestBreakerDegradesToMemoryOnly(t *testing.T) {
 
 // TestDiskTierMetricsExposition asserts every simd_disk_cache_* family
 // and the per-tier rejection counter appear on /metrics with live
-// values (also the metricreg reference for the family names).
+// values.
 func TestDiskTierMetricsExposition(t *testing.T) {
 	dir := t.TempDir()
 	svc := New(Options{DiskCache: mustDisk(t, diskcache.Options{Dir: dir})})

@@ -6,11 +6,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/diskcache"
 )
 
 // fastPoint is a small configuration that simulates in a few
@@ -225,13 +232,55 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestMetricsExposition pins the wire details Prometheus scrapers
-// depend on: the versioned text content type, a trailing newline, and
-// ascending cumulative histogram buckets.
+// TestMetricsExposition parses one full scrape of a service with a
+// disk tier that has served every endpoint: simulate (a miss, then a
+// hit), sweep, explain and optimize. It checks the scrape against the
+// Prometheus text format (version 0.0.4) and the registry table in
+// DESIGN.md §8: each family has one HELP line and then one TYPE line,
+// a well-formed name and the type counter, gauge or histogram; every
+// sample parses and belongs to the family declared above it; a
+// histogram emits only _bucket, _sum and _count, and per label set its
+// le bounds strictly ascend to +Inf, its counts never fall and its
+// _count equals the +Inf bucket. The families and their types must
+// equal the §8 table, and a fresh service must declare the same ones,
+// because §8 promises every family on every scrape.
 func TestMetricsExposition(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	postJSON(t, ts.URL+"/v1/simulate", fastPoint(1))
-	resp, err := http.Get(ts.URL + "/metrics")
+	svc, ts := newTestServer(t, Options{DiskCache: mustDisk(t, diskcache.Options{Dir: t.TempDir()})})
+	for _, step := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/simulate", fastPoint(1)},
+		{"/v1/simulate", fastPoint(1)},
+		{"/v1/sweep", SweepRequest{Points: []SimulateRequest{fastPoint(2), fastPoint(3)}}},
+		{"/v1/explain", fastPoint(4)},
+		{"/v1/optimize", optimizePoint()},
+	} {
+		if resp, body := postJSON(t, ts.URL+step.path, step.body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", step.path, resp.StatusCode, body)
+		}
+	}
+	if err := svc.Drain(testCtx(t, 10*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	types, samples := checkExposition(t, scrapeMetrics(t, ts.URL))
+	for name := range types {
+		if samples[name] == 0 {
+			t.Errorf("family %s has no sample after every endpoint ran", name)
+		}
+	}
+	compareFamilies(t, "DESIGN.md §8", types, registryTable(t))
+
+	_, fresh := newTestServer(t, Options{})
+	freshTypes, _ := checkExposition(t, scrapeMetrics(t, fresh.URL))
+	compareFamilies(t, "a fresh service's scrape", types, freshTypes)
+}
+
+// scrapeMetrics fetches /metrics and checks the wire details scrapers
+// depend on: the versioned text content type and a trailing newline.
+func scrapeMetrics(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,31 +288,168 @@ func TestMetricsExposition(t *testing.T) {
 	if got := resp.Header.Get("Content-Type"); got != "text/plain; version=0.0.4; charset=utf-8" {
 		t.Errorf("Content-Type = %q", got)
 	}
-	body, _ := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(body) == 0 || body[len(body)-1] != '\n' {
 		t.Errorf("exposition does not end with a newline")
 	}
-	// Cumulative bucket counts never decrease within one family.
-	var prev int64 = -1
-	inLatency := false
-	for _, line := range strings.Split(string(body), "\n") {
+	return string(body)
+}
+
+const labelPair = `[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"`
+
+var (
+	familyNameRx = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	sampleLineRx = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{(` + labelPair + `(?:,` + labelPair + `)*)\})? (\S+)$`)
+	labelRx      = regexp.MustCompile(`([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"`)
+	// registryRowRx matches a row of the DESIGN.md §8 table: the
+	// backquoted family name, then its type.
+	registryRowRx = regexp.MustCompile("(?m)^\\| `([^`]+)` *\\| *([a-z]+) *\\|")
+)
+
+// checkExposition checks one scrape against the text format's rules
+// and returns each declared family's type and sample count.
+func checkExposition(t *testing.T, text string) (types map[string]string, samples map[string]int) {
+	t.Helper()
+	types, samples = map[string]string{}, map[string]int{}
+	// A histogram series, keyed by family and labels without le: its
+	// last bucket's bound and count, and its _count.
+	type bucketSeries struct {
+		le, cum, count float64
+		counted        bool
+	}
+	series := map[string]*bucketSeries{}
+	family, help := "", "" // the family samples may follow; a HELP awaiting its TYPE
+	for i, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		at := fmt.Sprintf("line %d %q", i+1, line)
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			if help != "" {
+				t.Errorf("%s: the HELP of %s has no TYPE line after it", at, help)
+			}
+			help, _, _ = strings.Cut(rest, " ")
+			continue
+		}
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, typ, _ := strings.Cut(rest, " ")
+			if !familyNameRx.MatchString(name) {
+				t.Errorf("%s: malformed family name", at)
+			}
+			if types[name] != "" {
+				t.Errorf("%s: family declared twice", at)
+			}
+			if help != name {
+				t.Errorf("%s: not preceded by the family's HELP line", at)
+			}
+			if typ != "counter" && typ != "gauge" && typ != "histogram" {
+				t.Errorf("%s: type %q is not counter, gauge or histogram", at, typ)
+			}
+			types[name], family, help = typ, name, ""
+			continue
+		}
+		if help != "" {
+			t.Errorf("%s: the HELP of %s has no TYPE line after it", at, help)
+			help = ""
+		}
+		m := sampleLineRx.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("%s: not a sample line", at)
+			continue
+		}
+		name, labels := m[1], m[2]
+		value, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			t.Errorf("%s: value: %v", at, err)
+		}
+		suffix := strings.TrimPrefix(name, family)
+		hist := types[family] == "histogram"
 		switch {
-		case strings.HasPrefix(line, "simd_request_latency_seconds_bucket{"):
-			inLatency = true
-			var n int64
-			if _, err := fmt.Sscanf(line[strings.LastIndex(line, " ")+1:], "%d", &n); err != nil {
-				t.Fatalf("unparseable bucket line %q: %v", line, err)
+		case hist && name != family+"_bucket" && name != family+"_sum" && name != family+"_count":
+			t.Errorf("%s: histogram %s emits only _bucket, _sum and _count", at, family)
+			continue
+		case !hist && name != family:
+			t.Errorf("%s: sample outside its family %q", at, family)
+			continue
+		}
+		samples[family]++
+		if !hist || suffix == "_sum" {
+			continue
+		}
+		key, le := family, ""
+		for _, lm := range labelRx.FindAllStringSubmatch(labels, -1) {
+			if lm[1] == "le" {
+				le = lm[2]
+			} else {
+				key += "," + lm[0]
 			}
-			if n < prev {
-				t.Errorf("bucket count decreased: %q after %d", line, prev)
-			}
-			prev = n
-		case inLatency:
-			inLatency = false
+		}
+		s := series[key]
+		if s == nil {
+			s = &bucketSeries{le: math.Inf(-1)}
+			series[key] = s
+		}
+		if suffix == "_count" {
+			s.count, s.counted = value, true
+			continue
+		}
+		bound, err := strconv.ParseFloat(le, 64)
+		if err != nil {
+			t.Errorf("%s: le: %v", at, err)
+			continue
+		}
+		if bound <= s.le || value < s.cum {
+			t.Errorf("%s: le must strictly ascend and counts never fall (previous le %g, count %g)", at, s.le, s.cum)
+		}
+		s.le, s.cum = bound, value
+	}
+	if help != "" {
+		t.Errorf("the HELP of %s ends the scrape without a TYPE line", help)
+	}
+	for key, s := range series {
+		switch {
+		case !math.IsInf(s.le, 1):
+			t.Errorf("histogram series %s: the last bucket is not +Inf", key)
+		case !s.counted || s.count != s.cum:
+			t.Errorf("histogram series %s: _count is not the +Inf bucket's %g", key, s.cum)
 		}
 	}
-	if prev < 0 {
-		t.Fatalf("no latency bucket lines in exposition:\n%s", body)
+	return types, samples
+}
+
+// registryTable reads the metrics registry, family to type, from the
+// table in DESIGN.md §8.
+func registryTable(t *testing.T) map[string]string {
+	t.Helper()
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "\n### Metrics reference\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no Metrics reference section")
+	}
+	section, _, _ = strings.Cut(section, "\n#")
+	table := map[string]string{}
+	for _, m := range registryRowRx.FindAllStringSubmatch(section, -1) {
+		table[m[1]] = m[2]
+	}
+	if len(table) == 0 {
+		t.Fatal("DESIGN.md §8 lists no metric family")
+	}
+	return table
+}
+
+// compareFamilies reports every family whose type in the scrape
+// differs from its type in want; "" stands for absent.
+func compareFamilies(t *testing.T, wantName string, got, want map[string]string) {
+	t.Helper()
+	all := maps.Clone(got)
+	maps.Copy(all, want)
+	for name := range all {
+		if got[name] != want[name] {
+			t.Errorf("family %s: the scrape declares %q, %s %q", name, got[name], wantName, want[name])
+		}
 	}
 }
 
