@@ -66,35 +66,36 @@ type Window struct {
 
 // DiskSpec describes the faults of one input disk. The zero value of
 // every fault field means "healthy" for that dimension, so a spec can
-// inject exactly one failure mode at a time.
+// inject exactly one failure mode at a time. It is also the wire form
+// of one entry of a /v1/simulate request's faults.
 type DiskSpec struct {
 	// Disk is the input-disk index the faults apply to.
-	Disk int
+	Disk int `json:"disk"`
 
 	// Slowdown multiplies the disk's service time (seek, rotation and
 	// transfer alike) — the fail-slow model. 0 means no slowdown;
 	// otherwise it must be in [1, MaxSlowdown].
-	Slowdown float64
+	Slowdown float64 `json:"slowdown,omitempty"`
 
 	// SlowdownAtMs is the simulated instant the slowdown phases in;
 	// before it the disk runs at full speed. 0 means degraded from the
 	// start.
-	SlowdownAtMs float64
+	SlowdownAtMs float64 `json:"slowdown_at_ms,omitempty"`
 
 	// ReadErrorProb is the per-request probability of a transient read
 	// error. Each error costs one re-read — a fresh rotational latency
 	// plus the full transfer again — before any block of the request is
 	// delivered.
-	ReadErrorProb float64
+	ReadErrorProb float64 `json:"read_error_prob,omitempty"`
 
 	// MaxRetries caps re-reads per request (0 = DefaultMaxRetries). A
 	// request that errors on every attempt aborts the merge with
 	// ErrUnreadable.
-	MaxRetries int
+	MaxRetries int `json:"max_retries,omitempty"`
 
 	// Outages are the disk's downtime windows, in ascending,
 	// non-overlapping order.
-	Outages []Window
+	Outages []Window `json:"outages,omitempty"`
 }
 
 // maxRetries resolves the re-read cap.

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/faults"
 )
 
 // TestPanicRecovery is the hardening regression: a panicking handler
@@ -138,7 +140,7 @@ func TestFaultRequestsRejected(t *testing.T) {
 func TestFaultedSimulateServes(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	req := fastPoint(7)
-	req.Faults = []FaultRequest{{Disk: 1, Slowdown: 3}}
+	req.Faults = []faults.DiskSpec{{Disk: 1, Slowdown: 3}}
 	resp, body := postJSON(t, ts.URL+"/v1/simulate", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -173,7 +175,7 @@ func TestFaultedSimulateServes(t *testing.T) {
 func TestUnreadableFaultIs500NotPoisoned(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	req := fastPoint(3)
-	req.Faults = []FaultRequest{{Disk: 0, ReadErrorProb: 1, MaxRetries: 1}}
+	req.Faults = []faults.DiskSpec{{Disk: 0, ReadErrorProb: 1, MaxRetries: 1}}
 	for i := 0; i < 2; i++ {
 		resp, body := postJSON(t, ts.URL+"/v1/simulate", req)
 		if resp.StatusCode != http.StatusInternalServerError {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core/coretest"
+	"repro/internal/faults"
 )
 
 // TestGoldenBodies pins what every /v1/* endpoint answers over one
@@ -22,7 +23,7 @@ func TestGoldenBodies(t *testing.T) {
 	faulted := SimulateRequest{
 		K: 6, D: 3, N: 2, BlocksPerRun: 60, Trials: 3, Seed: 102,
 		Write:  &WriteRequest{Disks: 1, BatchBlocks: 4},
-		Faults: []FaultRequest{{Disk: 1, Slowdown: 2, ReadErrorProb: 0.05, MaxRetries: 3}},
+		Faults: []faults.DiskSpec{{Disk: 1, Slowdown: 2, ReadErrorProb: 0.05, MaxRetries: 3}},
 	}
 	traced := fastPoint(103)
 	traced.Trace = true

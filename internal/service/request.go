@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -47,7 +48,7 @@ type SimulateRequest struct {
 	// Faults injects per-disk failure modes (see faults.Spec). Entries
 	// must be in ascending disk order, one per disk; invalid specs are a
 	// 400 with the validation text.
-	Faults []FaultRequest `json:"faults,omitempty"`
+	Faults []faults.DiskSpec `json:"faults,omitempty"`
 
 	// Trace embeds a Chrome trace-event timeline of the run in the
 	// response. Traced requests bypass the result cache and singleflight
@@ -55,16 +56,6 @@ type SimulateRequest struct {
 	// detached under the same admission gate, and require trials = 1.
 	// The plain result is still cached for later untraced requests.
 	Trace bool `json:"trace,omitempty"`
-}
-
-// FaultRequest is the wire form of one disk's fault spec.
-type FaultRequest struct {
-	Disk          int             `json:"disk"`
-	Slowdown      float64         `json:"slowdown,omitempty"`
-	SlowdownAtMs  float64         `json:"slowdown_at_ms,omitempty"`
-	ReadErrorProb float64         `json:"read_error_prob,omitempty"`
-	MaxRetries    int             `json:"max_retries,omitempty"`
-	Outages       []faults.Window `json:"outages,omitempty"`
 }
 
 // WriteRequest enables output-traffic modelling for a point.
@@ -193,18 +184,7 @@ func (r SimulateRequest) Config() (core.Config, error) {
 	}
 
 	if len(r.Faults) > 0 {
-		spec := &faults.Spec{Disks: make([]faults.DiskSpec, len(r.Faults))}
-		for i, f := range r.Faults {
-			spec.Disks[i] = faults.DiskSpec{
-				Disk:          f.Disk,
-				Slowdown:      f.Slowdown,
-				SlowdownAtMs:  f.SlowdownAtMs,
-				ReadErrorProb: f.ReadErrorProb,
-				MaxRetries:    f.MaxRetries,
-				Outages:       f.Outages,
-			}
-		}
-		cfg.Faults = spec
+		cfg.Faults = &faults.Spec{Disks: slices.Clone(r.Faults)}
 	}
 
 	if err := cfg.Validate(); err != nil {
