@@ -37,11 +37,6 @@ type Cache struct {
 
 	runs []runState
 
-	// onOccupancy, when set, is invoked with the new Occupied value
-	// after every change (reserve, unreserve, deposit keeps occupancy
-	// flat so it does not fire there, consume). Observation only.
-	onOccupancy func(occupied int)
-
 	// Statistics.
 	deposits     int64
 	consumed     int64
@@ -64,18 +59,6 @@ func New(capacity, k int) (*Cache, error) {
 		c.runs[i].arrived = make(map[int]bool)
 	}
 	return c, nil
-}
-
-// SetOccupancyObserver installs fn to be called with the new occupancy
-// (resident + reserved blocks) after every occupancy change. A nil fn
-// removes the observer. The observer must not mutate the cache.
-func (c *Cache) SetOccupancyObserver(fn func(occupied int)) { c.onOccupancy = fn }
-
-// occupancyChanged notifies the observer, if any.
-func (c *Cache) occupancyChanged() {
-	if c.onOccupancy != nil {
-		c.onOccupancy(c.Occupied())
-	}
 }
 
 // Capacity returns the configured capacity in blocks.
@@ -126,7 +109,6 @@ func (c *Cache) Reserve(n int) bool {
 	if occ := c.Occupied(); occ > c.peakOccupied {
 		c.peakOccupied = occ
 	}
-	c.occupancyChanged()
 	return true
 }
 
@@ -137,7 +119,6 @@ func (c *Cache) Unreserve(n int) {
 		panic(fmt.Sprintf("cache: Unreserve(%d) with reserved=%d", n, c.reserved))
 	}
 	c.reserved -= n
-	c.occupancyChanged()
 }
 
 // Deposit converts one reserved slot into a resident block: run r's
@@ -189,7 +170,6 @@ func (c *Cache) Consume(r int) {
 	rs.nextConsume++
 	c.resident--
 	c.consumed++
-	c.occupancyChanged()
 }
 
 // Invariant checks internal consistency; tests call it after operation

@@ -213,7 +213,6 @@ func newEngine(cfg Config, trial int) (*engine, error) {
 	if cfg.Trace != nil {
 		cfg.Trace.Track(trace.CPUTrack, "cpu")
 		cfg.Trace.CacheSample(0, 0)
-		c.SetOccupancyObserver(func(occ int) { cfg.Trace.CacheSample(k.Now(), occ) })
 	}
 	e.writeRot = root.Split("write")
 	w, err := newWriter(e)

@@ -100,6 +100,9 @@ func (m *machine) initialLoad() {
 		if !e.cache.Reserve(per) {
 			panic("core: initial load exceeds cache")
 		}
+		if e.cfg.Trace != nil {
+			e.cfg.Trace.CacheSample(e.k.Now(), e.cache.Occupied())
+		}
 		e.nextFetch[r] = per
 		e.inflight[r] = per
 		n += e.submitRun(r, 0, per, true)
@@ -235,6 +238,9 @@ func (m *machine) consume() bool {
 	e := m.e
 	j := m.j
 	e.cache.Consume(j)
+	if e.cfg.Trace != nil {
+		e.cfg.Trace.CacheSample(e.k.Now(), e.cache.Occupied())
+	}
 	e.consumedOf[j]++
 	if e.consumedOf[j] == e.lay.RunLength(j) {
 		e.deactivate(j)
@@ -482,6 +488,9 @@ func (e *engine) submitBatch(batch []piece, awaited bool) int {
 			// Unreachable by construction: admission just checked space,
 			// and the merge loop freed the demand block's slot first.
 			panic("core: reservation failed after admission")
+		}
+		if e.cfg.Trace != nil {
+			e.cfg.Trace.CacheSample(e.k.Now(), e.cache.Occupied())
 		}
 		from := e.nextFetch[pc.run]
 		e.nextFetch[pc.run] += pc.n
