@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"slices"
 
@@ -21,6 +20,11 @@ import (
 	"repro/internal/extsort"
 	"repro/internal/rng"
 )
+
+// maxInputBytes bounds the synthesized input's byte count. The command
+// builds its whole input in memory before sorting it, so a larger input
+// could not be allocated; the bound also keeps the byte count in int.
+const maxInputBytes = 1 << 40 // 1 TiB
 
 func main() {
 	var (
@@ -51,8 +55,9 @@ func main() {
 	if *records < 0 {
 		fatal(fmt.Errorf("-records = %d (want 0 or more)", *records))
 	}
-	if *records > math.MaxInt/cfg.RecordSize {
-		fatal(fmt.Errorf("-records %d × -record-size %d bytes overflows the input's byte count", *records, cfg.RecordSize))
+	if *records > maxInputBytes/cfg.RecordSize {
+		fatal(fmt.Errorf("-records %d × -record-size %d bytes exceeds the %d TiB input bound: the input is built in memory",
+			*records, cfg.RecordSize, maxInputBytes>>40))
 	}
 
 	// Synthesize input, one random draw per 8 bytes; a last partial
